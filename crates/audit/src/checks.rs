@@ -13,13 +13,7 @@ use anatomy_query::{estimate_anatomy, CountQuery, InPredicate};
 use std::collections::BTreeMap;
 
 /// Every stage must preserve the six core invariants.
-const ALL_STAGES: &[Stage] = &[
-    Stage::Anatomize,
-    Stage::AnatomizeExternal,
-    Stage::AnatomizeSharded,
-    Stage::Incremental,
-    Stage::Serve,
-];
+const ALL_STAGES: &[Stage] = &Stage::ALL;
 
 /// Definitions 1 & 3: QIT group ids are dense, the ST is sorted by
 /// `(group, value)` without duplicates, counts are positive, and each
@@ -218,7 +212,11 @@ pub static RCE_BOUND: Invariant = Invariant {
 };
 
 fn check_rce_bound(ctx: &PartsCtx<'_>) -> CheckOutcome {
-    if ctx.rce + 1e-9 >= ctx.rce_bound {
+    // l·RCE ≥ n(l − 1) is the floor without the division by l. At the
+    // floor both sides are integers (see `PartsCtx::new`), so the
+    // comparison is exact.
+    let l = ctx.l as f64;
+    if ctx.l >= 1 && l * ctx.rce >= ctx.n as f64 * (l - 1.0) {
         CheckOutcome::pass(CHECK_RCE_BOUND)
     } else {
         CheckOutcome::fail(

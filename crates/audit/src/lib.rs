@@ -44,8 +44,9 @@
 //! [`audit_parts`] runs the parts-level checks on raw `(group_ids, ST)`
 //! parts — tolerant of arbitrarily corrupt input, it never panics — and
 //! [`audit_release`] runs the full stage battery on an assembled
-//! [`AnatomizedTables`]. Both default to the `anatomize` stage; the
-//! `_for` variants audit other stages, and [`audit_increment`] audits a
+//! [`AnatomizedTables`]. Both audit the `anatomize` stage, which every
+//! engine's output and every served release belongs to; the `_for`
+//! variants take the stage explicitly, and [`audit_increment`] audits a
 //! consecutive snapshot pair from the incremental publisher. The three
 //! checks that encode `Anatomize`-specific output shape (`group_sizes`,
 //! `residue_placement`, `rce_bound` at equality) are still *required*:
@@ -138,6 +139,9 @@ pub struct AuditReport {
     pub rce: f64,
     /// Theorem 2's floor `n(1 − 1/l)`.
     pub rce_bound: f64,
+    /// The highest adversary posterior over all tuples
+    /// ([`PartsCtx::worst_posterior`]); Corollary 1 bounds it by `1/l`.
+    pub worst_posterior: f64,
     /// Per-check outcomes, in execution order.
     pub checks: Vec<CheckOutcome>,
 }
@@ -190,6 +194,12 @@ impl AuditReport {
             out,
             "  rce {:.3} vs Theorem 2 floor {:.3}",
             self.rce, self.rce_bound
+        );
+        let _ = writeln!(
+            out,
+            "  worst adversary posterior {:.1}% vs Corollary 1 bound {:.1}%",
+            self.worst_posterior * 100.0,
+            100.0 / self.l as f64
         );
         out
     }
@@ -259,6 +269,7 @@ fn report(stage: Stage, ctx: &PartsCtx<'_>, checks: Vec<CheckOutcome>) -> AuditR
         groups: ctx.groups,
         rce: ctx.rce,
         rce_bound: ctx.rce_bound,
+        worst_posterior: ctx.worst_posterior(),
         checks,
     }
 }
@@ -276,7 +287,7 @@ pub fn audit_parts(group_ids: &[GroupId], st: &[StRecord], l: usize) -> AuditRep
 }
 
 /// [`audit_parts`] against the invariants registered for an explicit
-/// pipeline stage.
+/// stage.
 pub fn audit_parts_for(
     stage: Stage,
     group_ids: &[GroupId],
@@ -298,7 +309,7 @@ pub fn audit_release(tables: &AnatomizedTables, l: usize) -> AuditReport {
 }
 
 /// [`audit_release`] against the invariants registered for an explicit
-/// pipeline stage.
+/// stage.
 pub fn audit_release_for(stage: Stage, tables: &AnatomizedTables, l: usize) -> AuditReport {
     let ctx = PartsCtx::new(tables.group_ids(), tables.st_records(), l);
     let checks = run_registry(stage, &ctx, Some(tables), None);
@@ -374,28 +385,8 @@ mod tests {
     #[test]
     fn check_names_match_the_registry_for_the_anatomize_stage() {
         assert_eq!(names_for(Stage::Anatomize), CHECK_NAMES.to_vec());
-        // Every engine stage and serve run the same six; incremental adds
-        // the seventh.
-        assert_eq!(names_for(Stage::AnatomizeExternal), CHECK_NAMES.to_vec());
-        assert_eq!(names_for(Stage::AnatomizeSharded), CHECK_NAMES.to_vec());
-        assert_eq!(names_for(Stage::Serve), CHECK_NAMES.to_vec());
+        // Incremental adds the seventh.
         assert_eq!(names_for(Stage::Incremental).len(), CHECK_NAMES.len() + 1);
-    }
-
-    #[test]
-    fn stage_variants_report_their_stage_and_the_registered_checks() {
-        let t = sample_release(3);
-        for stage in [
-            Stage::AnatomizeExternal,
-            Stage::AnatomizeSharded,
-            Stage::Serve,
-        ] {
-            let report = audit_release_for(stage, &t, 3);
-            assert_eq!(report.stage, stage);
-            assert!(report.passed());
-            let names: Vec<&str> = report.checks.iter().map(|c| c.name).collect();
-            assert_eq!(names, names_for(stage));
-        }
     }
 
     #[test]
@@ -543,6 +534,50 @@ mod tests {
             expected
         );
         assert!(report.check(CHECK_RCE_BOUND).unwrap().passed);
+    }
+
+    #[test]
+    fn rce_bound_is_exact_when_l_divides_n() {
+        // n = 10 000, l = 10: a thousand groups of ten distinct values sit
+        // exactly on Theorem 2's floor, so rounding must not put the
+        // achieved RCE below it.
+        let (n, l) = (10_000u32, 10u32);
+        let gids: Vec<GroupId> = (0..n).map(|i| i / l).collect();
+        let st: Vec<StRecord> = (0..n)
+            .map(|i| StRecord {
+                group: i / l,
+                value: Value(i % l),
+                count: 1,
+            })
+            .collect();
+        let report = audit_parts(&gids, &st, l as usize);
+        assert!(report.passed(), "{}", report.render());
+        assert_eq!(report.rce, f64::from(n - n / l));
+    }
+
+    #[test]
+    fn worst_posterior_is_the_largest_group_share() {
+        // Group 1 holds value 0 twice among its three tuples: 2/3.
+        let gids = vec![0, 0, 0, 1, 1, 1];
+        let st: Vec<StRecord> = [
+            (0u32, 0u32, 1u32),
+            (0, 1, 1),
+            (0, 2, 1),
+            (1, 0, 2),
+            (1, 1, 1),
+        ]
+        .iter()
+        .map(|&(g, v, c)| StRecord {
+            group: g,
+            value: Value(v),
+            count: c,
+        })
+        .collect();
+        let report = audit_parts(&gids, &st, 3);
+        assert!((report.worst_posterior - 2.0 / 3.0).abs() < 1e-12);
+        assert!(report.render().contains("worst adversary posterior 66.7%"));
+        let clean = audit_release(&sample_release(3), 3);
+        assert!((clean.worst_posterior - 1.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]

@@ -18,41 +18,28 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::fmt::Write as _;
 
-/// A pipeline stage that produces (or re-serves) a publication. Each
+/// A kind of publication, named by the pipeline that produces it. Each
 /// invariant declares which stages must preserve it; auditors ask for
-/// "all invariants registered for stage X".
+/// "all invariants registered for stage X". A stage exists only where
+/// its check set differs from every other stage's.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Stage {
-    /// The in-memory reference pipeline (`anatomize` + `publish`).
+    /// A batch release from any `Anatomize` engine (in-memory, external,
+    /// or sharded), including one the resident server loads from disk.
     Anatomize,
-    /// The paged out-of-core engine (`anatomize_external`).
-    AnatomizeExternal,
-    /// The sharded out-of-core engine (`anatomize_sharded`).
-    AnatomizeSharded,
     /// The streaming `IncrementalPublisher` (append-only publications).
     Incremental,
-    /// The resident query server loading a release from disk.
-    Serve,
 }
 
 impl Stage {
     /// Every stage, in registry-column order.
-    pub const ALL: [Stage; 5] = [
-        Stage::Anatomize,
-        Stage::AnatomizeExternal,
-        Stage::AnatomizeSharded,
-        Stage::Incremental,
-        Stage::Serve,
-    ];
+    pub const ALL: [Stage; 2] = [Stage::Anatomize, Stage::Incremental];
 
     /// The stable string name (used in manifests and `--stage` filters).
     pub fn name(self) -> &'static str {
         match self {
             Stage::Anatomize => "anatomize",
-            Stage::AnatomizeExternal => "anatomize_external",
-            Stage::AnatomizeSharded => "anatomize_sharded",
             Stage::Incremental => "incremental",
-            Stage::Serve => "serve",
         }
     }
 
@@ -170,23 +157,22 @@ impl<'a> PartsCtx<'a> {
         // Achieved RCE from the ST histograms against QIT group
         // populations (Equations 12–13): each of the c(v) tuples
         // carrying v in a group of size s errs by
-        // (1 − c(v)/s)² + Σ_{u≠v} (c(u)/s)².
+        // (1 − c(v)/s)² + Σ_{u≠v} (c(u)/s)², which sums over the group
+        // to m − (q/s)(2 − m/s) with ST mass m = Σc and q = Σc². When m
+        // equals s the term is s − q/s. An l-diverse group meets its share
+        // s(1 − 1/l) of Theorem 2's floor only when every value in it
+        // occurs s/l times, making q/s = s/l an integer, so a release on
+        // the floor sums integers only and `rce_bound` needs no tolerance.
         let mut rce = 0.0f64;
         for (&g, &size) in &qit_sizes {
-            let s = size as f64;
-            if size == 0 {
-                continue;
-            }
-            let records: Vec<&StRecord> = st.iter().filter(|r| r.group == g).collect();
-            let sum_sq: f64 = records
+            let q: u128 = st
                 .iter()
-                .map(|r| (r.count as f64) * (r.count as f64))
+                .filter(|r| r.group == g)
+                .map(|r| u128::from(r.count).pow(2))
                 .sum();
-            for r in &records {
-                let c = r.count as f64;
-                let a = 1.0 - c / s;
-                rce += c * (a * a + (sum_sq - c * c) / (s * s));
-            }
+            let s = size as f64;
+            let m = st_mass.get(&g).copied().unwrap_or(0) as f64;
+            rce += m - q as f64 / s * (2.0 - m / s);
         }
         let rce_bound = if l >= 1 {
             n as f64 * (1.0 - 1.0 / l as f64)
@@ -208,6 +194,17 @@ impl<'a> PartsCtx<'a> {
             rce,
             rce_bound,
         }
+    }
+
+    /// The highest probability an adversary who knows a tuple's QI
+    /// values can give its sensitive value: a group's largest ST count
+    /// over its QIT population, maximised over groups. Corollary 1 caps
+    /// it at `1/l` for an l-diverse release.
+    pub fn worst_posterior(&self) -> f64 {
+        self.st_max
+            .iter()
+            .filter_map(|(g, &max)| Some(f64::from(max) / *self.qit_sizes.get(g)? as f64))
+            .fold(0.0, f64::max)
     }
 }
 
@@ -352,17 +349,7 @@ mod tests {
         let name = crate::CHECK_INCREMENTAL_GROUP_IMMUTABILITY;
         assert_eq!(names_for(Stage::Incremental).len(), 7);
         assert!(names_for(Stage::Incremental).contains(&name));
-        for stage in [
-            Stage::Anatomize,
-            Stage::AnatomizeExternal,
-            Stage::AnatomizeSharded,
-            Stage::Serve,
-        ] {
-            assert!(
-                !names_for(stage).contains(&name),
-                "{stage} should not run {name}"
-            );
-        }
+        assert!(!names_for(Stage::Anatomize).contains(&name));
     }
 
     #[test]
@@ -379,7 +366,7 @@ mod tests {
         }
         let inc = render_registry(Some(Stage::Incremental));
         assert!(inc.starts_with("7 registered invariants (stage incremental):"));
-        let serve = render_registry(Some(Stage::Serve));
-        assert!(serve.starts_with("6 registered invariants (stage serve):"));
+        let anatomize = render_registry(Some(Stage::Anatomize));
+        assert!(anatomize.starts_with("6 registered invariants (stage anatomize):"));
     }
 }

@@ -60,7 +60,7 @@ pub enum Command {
         /// Which anatomization engine runs the publish.
         engine: EngineArg,
         /// Audit the release before writing it: run every invariant
-        /// registered for the engine's stage and withhold the release
+        /// registered for the `anatomize` stage and withhold the release
         /// on any failure.
         audit: bool,
         /// Write the run's `RunManifest` JSON here.
@@ -69,26 +69,12 @@ pub enum Command {
         /// else for Chrome trace-event JSON).
         trace: Option<String>,
     },
-    /// `anatomy audit --qit F --st F --schema F --sensitive NAME --l N`
-    Audit {
-        /// QIT CSV path.
-        qit: String,
-        /// ST CSV path.
-        st: String,
-        /// Schema file path.
-        schema: String,
-        /// Sensitive attribute name.
-        sensitive: String,
-        /// Claimed diversity parameter.
-        l: usize,
-    },
     /// `anatomy verify --qit F --st F --schema F --sensitive NAME --l N
     ///  [--stage STAGE]`
     ///
-    /// Unlike `audit` (which re-validates while *parsing* and stops at
-    /// the first defect), `verify` parses leniently and then runs every
-    /// invariant the `anatomy-audit` registry lists for the chosen
-    /// pipeline stage, reporting each one's PASS/FAIL by name.
+    /// Parses leniently, then runs every invariant the `anatomy-audit`
+    /// registry lists for the chosen stage, reporting each one's
+    /// PASS/FAIL by name and the worst adversary posterior.
     Verify {
         /// QIT CSV path.
         qit: String,
@@ -210,7 +196,6 @@ pub const USAGE: &str = "\
 usage:
   anatomy stats   --data F --schema F --sensitive NAME
   anatomy publish --data F --schema F --sensitive NAME --l N --qit F --st F [--engine in-memory|external|sharded] [--page-size N] [--shards N] [--shard-pages N] [--seed N] [--audit] [--metrics F] [--trace F]
-  anatomy audit   --qit F --st F --schema F --sensitive NAME --l N
   anatomy verify  --qit F --st F --schema F --sensitive NAME --l N [--stage STAGE]
   anatomy verify  --list-checks [--stage STAGE]
   anatomy query   --qit F --st F --schema F --sensitive NAME --l N --query 'qi0=1|2;s=0' [--indexed | --index-v2] [--metrics F] [--trace F]
@@ -337,15 +322,6 @@ pub fn parse_args(args: &[String]) -> CliResult<Command> {
             audit: map.remove("audit").is_some(),
             metrics: map.remove("metrics"),
             trace: map.remove("trace"),
-        },
-        "audit" => Command::Audit {
-            qit: take(&mut map, "qit")?,
-            st: take(&mut map, "st")?,
-            schema: take(&mut map, "schema")?,
-            sensitive: take(&mut map, "sensitive")?,
-            l: take(&mut map, "l")?
-                .parse()
-                .map_err(|_| "--l must be an integer")?,
         },
         // `--list-checks` consults only the registry, so the release
         // flags are not required (and rejected by `finish` if given).
@@ -641,7 +617,7 @@ mod tests {
         for cmd in [
             "stats --data d --schema s --sensitive",
             "publish --data d --schema s --sensitive X --l 2 --qit q --st t --trace",
-            "audit --qit q --st t --schema s --sensitive X --l",
+            "verify --qit q --st t --schema s --sensitive X --l",
             "query --qit q --st t --schema s --sensitive X --l 3 --query",
             "serve --qit q --st t --schema s --sensitive X --l 3 --listen",
         ] {
@@ -773,11 +749,11 @@ mod tests {
         );
         assert!(parse_args(&argv("verify --qit q --st t --schema s --sensitive X")).is_err());
         let c = parse_args(&argv(
-            "verify --qit q --st t --schema s --sensitive X --l 3 --stage serve",
+            "verify --qit q --st t --schema s --sensitive X --l 3 --stage incremental",
         ))
         .unwrap();
         match c {
-            Command::Verify { stage, .. } => assert_eq!(stage.as_deref(), Some("serve")),
+            Command::Verify { stage, .. } => assert_eq!(stage.as_deref(), Some("incremental")),
             _ => panic!("wrong command"),
         }
     }
@@ -800,8 +776,7 @@ mod tests {
     }
 
     #[test]
-    fn parses_audit_and_query() {
-        assert!(parse_args(&argv("audit --qit q --st t --schema s --sensitive X --l 3")).is_ok());
+    fn parses_query() {
         let c = parse_args(&argv(
             "query --qit q --st t --schema s --sensitive X --l 3 --query qi0=1;s=0",
         ))

@@ -7,7 +7,6 @@ use crate::{CliResult, Command};
 use anatomy::audit::{audit_parts_for, audit_release_for, render_registry, Stage};
 use anatomy::storage::PageConfig;
 use anatomy::{Engine, Error, Publish};
-use anatomy_core::adversary::tuple_value_probability;
 use anatomy_core::diversity::max_feasible_l;
 use anatomy_core::release::{parse_release, parse_release_parts, qit_to_csv, st_to_csv};
 use anatomy_core::{AnatomizedTables, ShardConfig};
@@ -18,7 +17,7 @@ use anatomy_query::{
     QueryIndex, QueryIndexV2,
 };
 use anatomy_serve::{ServeConfig, ServedRelease, Server};
-use anatomy_tables::{csv, Microdata, Schema, Table, TableBuilder, Value};
+use anatomy_tables::{csv, Microdata, Schema, Table, TableBuilder};
 use std::fmt::Write as _;
 use std::fs;
 
@@ -119,13 +118,6 @@ pub fn run(cmd: &Command) -> CliResult<String> {
             metrics.as_deref(),
             trace.as_deref(),
         ),
-        Command::Audit {
-            qit,
-            st,
-            schema,
-            sensitive,
-            l,
-        } => audit(qit, st, schema, sensitive, *l),
         Command::Verify {
             qit,
             st,
@@ -385,34 +377,9 @@ fn load_release(
     Ok((schema, tables))
 }
 
-fn audit(
-    qit_path: &str,
-    st_path: &str,
-    schema_path: &str,
-    sensitive: &str,
-    l: usize,
-) -> CliResult<String> {
-    let (_, tables) = load_release(qit_path, st_path, schema_path, sensitive, l)?;
-    // Worst adversary posterior over the whole release.
-    let mut worst: f64 = 0.0;
-    for j in 0..tables.group_count() as u32 {
-        let size = tables.group_size(j) as f64;
-        for rec in tables.st_of(j) {
-            worst = worst.max(rec.count as f64 / size);
-        }
-    }
-    Ok(format!(
-        "release is valid and {l}-diverse: {} tuples, {} groups, worst adversary \
-         posterior {:.1}% (bound {:.1}%)\n",
-        tables.len(),
-        tables.group_count(),
-        worst * 100.0,
-        100.0 / l as f64
-    ))
-}
-
-/// `anatomy verify`: every registered invariant of one pipeline stage
-/// over a release (default stage: `anatomize`).
+/// `anatomy verify`: every registered invariant of one stage over a
+/// release (default stage: `anatomize`), plus the worst adversary
+/// posterior.
 ///
 /// Parsing is deliberately lenient — `parse_release_parts` checks only
 /// CSV syntax and schema conformance — so a *corrupt* release reaches
@@ -501,9 +468,6 @@ fn query_cmd(
     for (q, est) in queries.iter().zip(&estimates) {
         let _ = writeln!(out, "{q}\n  estimate: {est:.3}");
     }
-    // Keep the adversary module linked in for the audit path; also a handy
-    // sanity line for single-row releases.
-    let _ = tuple_value_probability(&tables, 0, Value(tables.st_records()[0].value.code()));
     if let Some(path) = metrics {
         let manifest = RunManifest::capture_since("cli.query", anatomy_obs::global(), &before)
             .with_param("queries", queries.len() as u64)
@@ -557,7 +521,7 @@ fn serve(
             ServedRelease::estimate_only(name, domains, tables)
         }
     };
-    // Refuse to serve a release that fails any serve-stage invariant:
+    // Refuse to serve a release that fails any registered invariant:
     // every answer would otherwise come from a corrupt or non-diverse
     // publication.
     let report = release.audit();
@@ -884,7 +848,7 @@ mod tests {
     }
 
     #[test]
-    fn publish_then_audit_then_query() {
+    fn publish_then_verify_then_query() {
         let dir = scratch("roundtrip");
         let data = write(&dir, "d.csv", &demo_data());
         let schema = write(&dir, "s.txt", SCHEMA);
@@ -908,25 +872,24 @@ mod tests {
         assert!(report.contains("40 tuples"));
         assert!(report.contains("10 QI-groups"));
 
-        let report = run(&Command::Audit {
-            qit: qit.clone(),
-            st: st.clone(),
-            schema: schema.clone(),
-            sensitive: "Disease".into(),
-            l: 4,
-        })
-        .unwrap();
-        assert!(report.contains("valid and 4-diverse"), "{report}");
+        let verify = |l: usize| {
+            run(&Command::Verify {
+                qit: qit.clone(),
+                st: st.clone(),
+                schema: schema.clone(),
+                sensitive: "Disease".into(),
+                l,
+                stage: None,
+            })
+        };
+        let report = verify(4).unwrap();
+        assert!(
+            report.contains("worst adversary posterior 25.0% vs Corollary 1 bound 25.0%"),
+            "{report}"
+        );
 
         // Claiming l = 5 on a 4-diverse release must fail the audit.
-        assert!(run(&Command::Audit {
-            qit: qit.clone(),
-            st: st.clone(),
-            schema: schema.clone(),
-            sensitive: "Disease".into(),
-            l: 5,
-        })
-        .is_err());
+        assert!(verify(5).is_err());
 
         // A sensitive-only query is answered exactly: 8 tuples carry
         // disease 0.
@@ -1108,15 +1071,15 @@ mod tests {
         ] {
             assert!(all.contains(name), "{all}");
         }
-        let serve_only = run(&Command::ListChecks {
-            stage: Some("serve".into()),
+        let anatomize_only = run(&Command::ListChecks {
+            stage: Some("anatomize".into()),
         })
         .unwrap();
         assert!(
-            serve_only.starts_with("6 registered invariants (stage serve):"),
-            "{serve_only}"
+            anatomize_only.starts_with("6 registered invariants (stage anatomize):"),
+            "{anatomize_only}"
         );
-        assert!(!serve_only.contains("incremental_group_immutability"));
+        assert!(!anatomize_only.contains("incremental_group_immutability"));
         let err = run(&Command::ListChecks {
             stage: Some("bogus".into()),
         })
@@ -1153,7 +1116,7 @@ mod tests {
             "{report}"
         );
 
-        // The serve-stage battery passes over the same release...
+        // The anatomize-stage battery passes over the same release...
         let verify_with = |stage: Option<&str>| {
             run(&Command::Verify {
                 qit: qit.clone(),
@@ -1164,7 +1127,7 @@ mod tests {
                 stage: stage.map(String::from),
             })
         };
-        let report = verify_with(Some("serve")).unwrap();
+        let report = verify_with(Some("anatomize")).unwrap();
         assert!(report.contains("[PASS] estimator_consistency"), "{report}");
 
         // ...but the incremental stage adds the emission-order shape
@@ -1174,7 +1137,10 @@ mod tests {
             anatomy::render_chain(&err).contains("[FAIL] incremental_group_immutability"),
             "{err}"
         );
-        assert!(verify_with(Some("turbo")).is_err());
+        // Only the two registered stages parse.
+        for stage in ["turbo", "serve", "anatomize_sharded"] {
+            assert!(verify_with(Some(stage)).is_err(), "{stage}");
+        }
     }
 
     #[test]

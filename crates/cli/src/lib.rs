@@ -1,15 +1,15 @@
 //! # anatomy-cli
 //!
 //! The operational face of the workspace: a command-line tool that takes a
-//! microdata CSV and produces a publishable QIT/ST pair, audits an existing
-//! release, reports a dataset's privacy budget, or estimates COUNT queries
-//! from a release.
+//! microdata CSV and produces a publishable QIT/ST pair, verifies an
+//! existing release, reports a dataset's privacy budget, or estimates COUNT
+//! queries from a release.
 //!
 //! ```text
 //! anatomy stats   --data data.csv --schema schema.txt --sensitive Disease
 //! anatomy publish --data data.csv --schema schema.txt --sensitive Disease \
 //!                 --l 4 --qit qit.csv --st st.csv [--seed 7]
-//! anatomy audit   --qit qit.csv --st st.csv --schema schema.txt \
+//! anatomy verify  --qit qit.csv --st st.csv --schema schema.txt \
 //!                 --sensitive Disease --l 4
 //! anatomy query   --qit qit.csv --st st.csv --schema schema.txt \
 //!                 --sensitive Disease --l 4 --query "qi0=1|2;s=0"

@@ -1,5 +1,5 @@
 //! End-to-end tests of the `anatomy` binary via process spawning: the
-//! full publish → audit → query pipeline through argv, stdout and the
+//! full publish → verify → query pipeline through argv, stdout and the
 //! filesystem.
 
 use std::fs;
@@ -82,7 +82,7 @@ fn full_pipeline_through_the_binary() {
 
     let out = bin()
         .args([
-            "audit",
+            "verify",
             "--qit",
             &qit,
             "--st",
@@ -97,9 +97,12 @@ fn full_pipeline_through_the_binary() {
         .output()
         .unwrap();
     assert!(out.status.success());
-    assert!(String::from_utf8(out.stdout)
-        .unwrap()
-        .contains("valid and 4-diverse"));
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    assert!(stdout.starts_with("audit: PASS"), "{stdout}");
+    assert!(
+        stdout.contains("worst adversary posterior 25.0% vs Corollary 1 bound 25.0%"),
+        "{stdout}"
+    );
 
     let out = bin()
         .args([
@@ -316,10 +319,17 @@ fn bad_usage_exits_2_with_usage_text() {
 
     let out = bin().args(["frobnicate"]).output().unwrap();
     assert_eq!(out.status.code(), Some(2));
+
+    // There is no `audit` command: `verify` does its job.
+    let out = bin().args(["audit", "--l", "4"]).output().unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8(out.stderr)
+        .unwrap()
+        .contains("unknown command `audit`"));
 }
 
 #[test]
-fn audit_failure_exits_1() {
+fn overclaimed_l_fails_verify_with_exit_1() {
     let dir = scratch("audit-fail");
     let (data, schema) = demo(&dir);
     let qit = dir.join("qit.csv").to_string_lossy().into_owned();
@@ -346,7 +356,7 @@ fn audit_failure_exits_1() {
     // Claiming l = 5 on a 4-diverse release fails.
     let out = bin()
         .args([
-            "audit",
+            "verify",
             "--qit",
             &qit,
             "--st",
@@ -361,7 +371,47 @@ fn audit_failure_exits_1() {
         .output()
         .unwrap();
     assert_eq!(out.status.code(), Some(1));
-    assert!(String::from_utf8(out.stderr).unwrap().contains("error"));
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(stderr.contains("[FAIL] l_diversity"), "{stderr}");
+}
+
+/// A header-only QIT/ST pair parses, so `query` must answer it (with
+/// zero) instead of panicking.
+#[test]
+fn query_on_a_header_only_release_exits_0() {
+    let dir = scratch("empty");
+    let (_, schema) = demo(&dir);
+    let qit = dir.join("qit.csv").to_string_lossy().into_owned();
+    let st = dir.join("st.csv").to_string_lossy().into_owned();
+    fs::write(&qit, "Age,Sex,Group-ID\n").unwrap();
+    fs::write(&st, "Group-ID,As,Count\n").unwrap();
+    let out = bin()
+        .args([
+            "query",
+            "--qit",
+            &qit,
+            "--st",
+            &st,
+            "--schema",
+            &schema,
+            "--sensitive",
+            "Disease",
+            "--l",
+            "4",
+            "--query",
+            "s=0",
+        ])
+        .output()
+        .unwrap();
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(String::from_utf8(out.stdout)
+        .unwrap()
+        .contains("estimate: 0.000"));
 }
 
 /// Kills a spawned server if a test assertion fails before SHUTDOWN.

@@ -268,19 +268,20 @@ pub fn start_sampler(registry: &'static Registry, cfg: WindowConfig) -> Sampler 
 /// owning the [`Sampler`]. The tick period comes from the `Windows`'
 /// own [`WindowConfig`].
 pub fn start_sampler_into(registry: &'static Registry, windows: Arc<Mutex<Windows>>) -> Sampler {
-    let cfg = w_lock(&windows).cfg.clone().clamped();
+    let cfg = {
+        let mut w = w_lock(&windows);
+        // Seed tick 0 on the caller's thread, so the first real tick is
+        // a delta from this call, and work recorded after it returns is
+        // in the first window rather than the seed.
+        w.last = registry.snapshot();
+        w.cfg.clone().clamped()
+    };
     let stop = Arc::new(AtomicBool::new(false));
     let thread_windows = Arc::clone(&windows);
     let thread_stop = Arc::clone(&stop);
     let handle = std::thread::Builder::new()
         .name("obs-sampler".to_string())
         .spawn(move || {
-            // Seed tick 0 so the first real tick is a proper delta
-            // from sampler start, not from process start.
-            {
-                let mut w = w_lock(&thread_windows);
-                w.last = registry.snapshot();
-            }
             let mut elapsed = Duration::ZERO;
             loop {
                 if thread_stop.load(Ordering::Acquire) {

@@ -12,22 +12,19 @@
 //! Each function is the batch form of its scalar namesake and inherits
 //! its bit-for-bit contract with the scan-based oracle.
 
-use crate::estimator::{AnatomyEstimator, Estimator};
-use crate::index::{evaluate_exact_indexed, QueryIndex};
+use crate::index::{estimate_anatomy_indexed, evaluate_exact_indexed, QueryIndex};
 use crate::query::CountQuery;
 use anatomy_core::AnatomizedTables;
 use anatomy_pool::{ItemCost, Pool};
 
-/// Exact COUNTs for a whole batch via `index`, on `pool`.
-///
-/// Kept as a `u64` path (no `f64` round-trip) rather than routed through
-/// [`Estimator`], with the same chunking policy and instrumentation.
-///
-/// # Panics
-///
-/// Like [`evaluate_exact_indexed`]: the index must carry sensitive
-/// bitmaps (be microdata-backed).
-pub fn evaluate_exact_batch(pool: &Pool, index: &QueryIndex, queries: &[CountQuery]) -> Vec<u64> {
+/// Answer every query with `answer` on `pool`, in query order, as one
+/// `query.batch` span counted on the `query.batches` /
+/// `query.batch_queries` counters of the global `anatomy-obs` registry.
+fn run_batch<R: Send>(
+    pool: &Pool,
+    queries: &[CountQuery],
+    answer: impl Fn(&CountQuery) -> R + Sync,
+) -> Vec<R> {
     let obs = anatomy_obs::global();
     let _span = obs.span("query.batch");
     obs.counter("query.batches").incr();
@@ -35,30 +32,36 @@ pub fn evaluate_exact_batch(pool: &Pool, index: &QueryIndex, queries: &[CountQue
     anatomy_obs::tracer().emit(anatomy_obs::EventKind::QueryBatch {
         queries: queries.len() as u64,
     });
-    pool.par_map_hinted(queries, ItemCost::Cheap, |q| {
-        evaluate_exact_indexed(index, q)
-    })
+    pool.par_map_hinted(queries, ItemCost::Cheap, answer)
 }
 
-/// Anatomy estimates for a whole batch via `index`, on `pool`.
+/// Exact COUNTs for a whole batch via `index`, on `pool`.
 ///
-/// Thin wrapper over
-/// [`AnatomyEstimator::indexed`]`.`[`evaluate_batch`](Estimator::evaluate_batch),
-/// kept for callers that don't want to name the trait.
+/// # Panics
+///
+/// Like [`evaluate_exact_indexed`]: the index must carry sensitive
+/// bitmaps (be microdata-backed).
+pub fn evaluate_exact_batch(pool: &Pool, index: &QueryIndex, queries: &[CountQuery]) -> Vec<u64> {
+    run_batch(pool, queries, |q| evaluate_exact_indexed(index, q))
+}
+
+/// Anatomy estimates for a whole batch via `index`, on `pool`: the batch
+/// form of [`estimate_anatomy_indexed`].
 pub fn estimate_anatomy_batch(
     pool: &Pool,
     index: &QueryIndex,
     tables: &AnatomizedTables,
     queries: &[CountQuery],
 ) -> Vec<f64> {
-    AnatomyEstimator::indexed(index, tables).evaluate_batch(pool, queries)
+    run_batch(pool, queries, |q| {
+        estimate_anatomy_indexed(index, tables, q)
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::exact::evaluate_exact;
-    use crate::index::estimate_anatomy_indexed;
     use crate::workload::WorkloadSpec;
     use anatomy_core::{anatomize, AnatomizeConfig};
     use anatomy_tables::{Attribute, Microdata, Schema, TableBuilder};

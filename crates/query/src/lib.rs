@@ -47,7 +47,6 @@ pub mod container;
 pub mod error;
 pub mod estimate_anatomy;
 pub mod estimate_generalization;
-pub mod estimator;
 pub mod exact;
 pub mod index;
 pub mod index_v2;
@@ -62,10 +61,6 @@ pub use container::{Container, ContainerKind, ContainerMix};
 pub use error::QueryError;
 pub use estimate_anatomy::estimate_anatomy;
 pub use estimate_generalization::estimate_generalization;
-pub use estimator::{
-    AnatomyEstimator, AnatomyEstimatorV2, Estimator, ExactIndexed, ExactIndexedV2, ExactScan,
-    GeneralizationEstimator,
-};
 pub use exact::evaluate_exact;
 pub use index::{estimate_anatomy_indexed, evaluate_exact_indexed, QueryIndex};
 pub use index_v2::{

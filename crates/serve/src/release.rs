@@ -1,6 +1,6 @@
 //! A release loaded into the server, with its query index built once.
 
-use anatomy_audit::{audit_release_for, AuditReport, Stage};
+use anatomy_audit::{audit_release, AuditReport};
 use anatomy_core::AnatomizedTables;
 use anatomy_query::{QueryError, QueryIndexV2};
 use anatomy_tables::Microdata;
@@ -84,11 +84,11 @@ impl ServedRelease {
     }
 
     /// Run every invariant the `anatomy-audit` registry lists for the
-    /// `serve` stage over the loaded release. Serving a release that
+    /// `anatomize` stage over the loaded release. Serving a release that
     /// fails any of these would answer queries from a corrupt or
     /// non-diverse publication, so callers should refuse to bind on a
     /// failed report.
     pub fn audit(&self) -> AuditReport {
-        audit_release_for(Stage::Serve, &self.tables, self.tables.l())
+        audit_release(&self.tables, self.tables.l())
     }
 }

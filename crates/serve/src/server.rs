@@ -72,7 +72,6 @@ pub struct ServeSummary {
 struct ServeObs {
     batches: anatomy_obs::Counter,
     queries: anatomy_obs::Counter,
-    overloaded: anatomy_obs::Counter,
     errors: anatomy_obs::Counter,
     busy_rejections: anatomy_obs::Counter,
     stats_requests: anatomy_obs::Counter,
@@ -88,7 +87,6 @@ impl ServeObs {
         ServeObs {
             batches: registry.counter("serve.batches"),
             queries: registry.counter("serve.queries"),
-            overloaded: registry.counter("serve.overloaded"),
             errors: registry.counter("serve.errors"),
             busy_rejections: registry.counter("serve.busy_rejections"),
             stats_requests: registry.counter("serve.stats_requests"),
@@ -586,7 +584,6 @@ fn handle_batch(
         Ok(guard) => guard,
         Err(in_flight) => {
             shared.overloaded.fetch_add(1, Ordering::Relaxed);
-            shared.obs.overloaded.incr();
             shared.obs.busy_rejections.incr();
             writeln!(wr, "BUSY {in_flight} {}", shared.max_inflight)?;
             return Ok(true);

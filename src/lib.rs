@@ -6,8 +6,7 @@
 //!
 //! **Start with [`prelude`]**: `use anatomy::prelude::*;` brings in the
 //! [`Publish`] builder — the one front door for producing a release —
-//! plus the query [`Estimator`](query::Estimator) backends and the
-//! substrate types they need. [`Publish::run`] returns a [`Release`]
+//! plus the COUNT-query evaluators and the substrate types they need. [`Publish::run`] returns a [`Release`]
 //! carrying the QIT/ST pair, the partition or I/O bill, and a
 //! [`RunManifest`](obs::RunManifest) describing the run itself.
 //! Failures from any layer unify into [`Error`], and [`render_chain`]
@@ -27,8 +26,8 @@
 //!   Mondrian, single-dimension global recoding, taxonomy trees,
 //!   information-loss metrics;
 //! * [`query`] — COUNT queries, workload generation, exact evaluation,
-//!   and the two estimators of the paper's Section 6 (unified under the
-//!   [`Estimator`](query::Estimator) trait);
+//!   and the two estimators of the paper's Section 6, by scan or through
+//!   a bitmap index;
 //! * [`audit`] — the release-integrity auditor: re-verifies every paper
 //!   invariant (Definitions 1–3, Properties 1–3, Theorem 2) from the
 //!   published pair alone, as [`Publish::audit`] and `anatomy verify`
@@ -43,8 +42,8 @@
 //!
 //! `DESIGN.md` maps the paper to the modules, and the `repro` binary
 //! (crate `anatomy-bench`) regenerates every table and figure. The
-//! `anatomy` binary (crate `anatomy-cli`) publishes, audits, and queries
-//! releases from the command line.
+//! `anatomy` binary (crate `anatomy-cli`) publishes, verifies, queries
+//! and serves releases from the command line.
 
 pub use anatomy_audit as audit;
 pub use anatomy_core as core;

@@ -1,8 +1,9 @@
 //! One import for the common path: `use anatomy::prelude::*;`.
 //!
 //! Brings in the [`Publish`](crate::Publish) front door, the types its
-//! [`Release`](crate::Release) carries, the query estimators behind the
-//! [`Estimator`](crate::query::Estimator) trait, and the handful of
+//! [`Release`](crate::Release) carries, the COUNT-query evaluators (exact
+//! ground truth, the anatomy estimator, the generalization estimator,
+//! each by scan or through a [`QueryIndex`]), and the handful of
 //! substrate types every program touches (schemas, microdata, page
 //! configuration, manifests). Anything rarer stays behind its module
 //! path — the prelude is deliberately small so `*`-importing it cannot
@@ -21,8 +22,8 @@ pub use anatomy_core::{
 pub use anatomy_obs::{RunManifest, Span};
 pub use anatomy_pool::Pool;
 pub use anatomy_query::{
-    AnatomyEstimator, CountQuery, Estimator, ExactIndexed, ExactScan, GeneralizationEstimator,
-    QueryIndex, WorkloadSpec,
+    estimate_anatomy, estimate_anatomy_indexed, estimate_generalization, evaluate_exact,
+    evaluate_exact_indexed, CountQuery, QueryIndex, WorkloadSpec,
 };
 pub use anatomy_storage::{IoCounter, IoStats, PageConfig};
 pub use anatomy_tables::{Attribute, Microdata, Schema, Table, TableBuilder, Value};

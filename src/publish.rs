@@ -27,11 +27,11 @@
 //! and capturing the manifest.
 
 use crate::error::Error;
-use anatomy_audit::{audit_release_for, AuditReport, Stage};
+use anatomy_audit::{audit_release, AuditReport};
 use anatomy_core::anatomize_io::{anatomize_external, recommended_pool};
 use anatomy_core::{
-    anatomize, anatomize_reference, anatomize_sharded, AnatomizeConfig, AnatomizedTables,
-    BucketStrategy, Partition, ShardConfig,
+    anatomize, anatomize_sharded, AnatomizeConfig, AnatomizedTables, BucketStrategy, Partition,
+    ShardConfig,
 };
 use anatomy_obs::{AuditSummary, RunManifest};
 use anatomy_storage::{IoCounter, IoStats, PageConfig};
@@ -44,9 +44,6 @@ use anatomy_tables::Microdata;
 ///
 /// * [`Engine::InMemory`] — the linear-time frequency ladder of Figure 3.
 ///   The default; holds the whole relation and partition in memory.
-/// * [`Engine::Reference`] — the sort-based reference implementation.
-///   Produces the identical partition to `InMemory`; this is the
-///   differential-testing oracle, exposed for exactly that purpose.
 /// * [`Engine::External`] — the paged O(n/b)-I/O algorithm of Theorem 3
 ///   with the given page geometry and the recommended 50-page-class
 ///   buffer pool. Deterministic: `seed` and `strategy` do not apply.
@@ -62,8 +59,6 @@ pub enum Engine {
     /// The in-memory frequency-ladder `Anatomize` (the default).
     #[default]
     InMemory,
-    /// The sort-based in-memory oracle (differential testing).
-    Reference,
     /// The paged external algorithm of Theorem 3.
     External(PageConfig),
     /// The sharded out-of-core pipeline.
@@ -74,19 +69,9 @@ impl Engine {
     /// The engine's `mode` string as recorded in the run manifest.
     pub fn mode(&self) -> &'static str {
         match self {
-            Engine::InMemory | Engine::Reference => "in_memory",
+            Engine::InMemory => "in_memory",
             Engine::External(_) => "external",
             Engine::Sharded(_) => "sharded",
-        }
-    }
-
-    /// The audit [`Stage`] whose registered invariants certify this
-    /// engine's output (recorded in the manifest's `audit.stage`).
-    pub fn stage(&self) -> Stage {
-        match self {
-            Engine::InMemory | Engine::Reference => Stage::Anatomize,
-            Engine::External(_) => Stage::AnatomizeExternal,
-            Engine::Sharded(_) => Stage::AnatomizeSharded,
         }
     }
 }
@@ -220,22 +205,8 @@ impl<'a> Publish<'a> {
         self
     }
 
-    /// Use the sort-based reference implementation instead of the
-    /// frequency ladder.
-    #[deprecated(since = "0.9.0", note = "use `.engine(Engine::Reference)` instead")]
-    pub fn reference(self) -> Self {
-        self.engine(Engine::Reference)
-    }
-
-    /// Run the external O(n/b)-I/O algorithm of Theorem 3 instead of
-    /// the in-memory one.
-    #[deprecated(since = "0.9.0", note = "use `.engine(Engine::External(cfg))` instead")]
-    pub fn external(self, cfg: PageConfig) -> Self {
-        self.engine(Engine::External(cfg))
-    }
-
     /// Audit the release before returning it: re-verify every invariant
-    /// registered for the engine's stage (Definitions 1–3, Properties
+    /// registered for the `anatomize` stage (Definitions 1–3, Properties
     /// 1–3, Theorem 2, and query-layer agreement — see
     /// `anatomy_audit::REGISTRY`) from the published pair alone. A failed
     /// audit turns into [`Error::Audit`] and the release is withheld;
@@ -296,12 +267,8 @@ impl<'a> Publish<'a> {
                 let tables = out.into_tables(qi_schema, l)?;
                 (tables, None, Some(out.stats))
             }
-            Engine::InMemory | Engine::Reference => {
-                let partition = if matches!(self.engine, Engine::Reference) {
-                    anatomize_reference(self.md, &self.config)?
-                } else {
-                    anatomize(self.md, &self.config)?
-                };
+            Engine::InMemory => {
+                let partition = anatomize(self.md, &self.config)?;
                 let tables = AnatomizedTables::publish(self.md, &partition, l)?;
                 (tables, Some(partition), None)
             }
@@ -323,22 +290,9 @@ impl<'a> Publish<'a> {
                 },
             );
         }
-        match self.engine {
-            Engine::InMemory | Engine::Reference => {
-                manifest.add_param(
-                    "implementation",
-                    if matches!(self.engine, Engine::Reference) {
-                        "reference"
-                    } else {
-                        "ladder"
-                    },
-                );
-            }
-            Engine::Sharded(shard_cfg) => {
-                manifest.add_param("shards", shard_cfg.shards() as u64);
-                manifest.add_param("page_budget", shard_cfg.budget() as u64);
-            }
-            Engine::External(_) => {}
+        if let Engine::Sharded(shard_cfg) = self.engine {
+            manifest.add_param("shards", shard_cfg.shards() as u64);
+            manifest.add_param("page_budget", shard_cfg.budget() as u64);
         }
         if let Some(stats) = io {
             // Taken from the run's own IoStats, not the registry mirror,
@@ -347,11 +301,10 @@ impl<'a> Publish<'a> {
         }
 
         let audit = if self.audit {
-            let stage = self.engine.stage();
-            let report = audit_release_for(stage, &tables, l);
+            let report = audit_release(&tables, l);
             let (passed, checks) = report.summary();
             manifest = manifest.with_audit(AuditSummary {
-                stage: stage.name().to_string(),
+                stage: report.stage.name().to_string(),
                 passed,
                 checks,
             });
@@ -382,6 +335,7 @@ impl<'a> Publish<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use anatomy_audit::Stage;
     use anatomy_tables::{Attribute, Schema, TableBuilder};
 
     fn md(n: u32) -> Microdata {
@@ -410,44 +364,6 @@ mod tests {
         assert_eq!(release.l, 4);
         assert_eq!(release.seed, 99);
         assert!(release.io.is_none());
-    }
-
-    #[test]
-    fn reference_engine_matches_ladder() {
-        let md = md(250);
-        let ladder = Publish::new(&md).l(3).seed(5).run().unwrap();
-        let reference = Publish::new(&md)
-            .l(3)
-            .seed(5)
-            .engine(Engine::Reference)
-            .run()
-            .unwrap();
-        assert_eq!(ladder.partition, reference.partition);
-        assert_eq!(ladder.tables, reference.tables);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_forwarders_still_select_their_engines() {
-        let md = md(200);
-        let via_forwarder = Publish::new(&md).l(2).seed(3).reference().run().unwrap();
-        let via_engine = Publish::new(&md)
-            .l(2)
-            .seed(3)
-            .engine(Engine::Reference)
-            .run()
-            .unwrap();
-        assert_eq!(via_forwarder.tables, via_engine.tables);
-
-        let cfg = PageConfig::with_page_size(64);
-        let ext_forwarder = Publish::new(&md).l(2).external(cfg).run().unwrap();
-        let ext_engine = Publish::new(&md)
-            .l(2)
-            .engine(Engine::External(cfg))
-            .run()
-            .unwrap();
-        assert_eq!(ext_forwarder.tables, ext_engine.tables);
-        assert!(ext_forwarder.io.is_some());
     }
 
     #[test]
@@ -519,41 +435,25 @@ mod tests {
     #[test]
     fn audited_runs_attach_a_clean_report_and_manifest_block() {
         let md = md(280);
-        for (release, stage) in [
-            (Publish::new(&md).l(4).audit().run().unwrap(), "anatomize"),
-            (
-                Publish::new(&md)
-                    .l(4)
-                    .engine(Engine::External(PageConfig::with_page_size(64)))
-                    .audit()
-                    .run()
-                    .unwrap(),
-                "anatomize_external",
-            ),
-            (
-                Publish::new(&md)
-                    .l(4)
-                    .engine(Engine::Sharded(
-                        ShardConfig::new(PageConfig::with_page_size(64), 2, 6).unwrap(),
-                    ))
-                    .audit()
-                    .run()
-                    .unwrap(),
-                "anatomize_sharded",
-            ),
+        // Every engine's output is certified by the one `anatomize` stage.
+        for engine in [
+            Engine::InMemory,
+            Engine::External(PageConfig::with_page_size(64)),
+            Engine::Sharded(ShardConfig::new(PageConfig::with_page_size(64), 2, 6).unwrap()),
         ] {
+            let release = Publish::new(&md).l(4).engine(engine).audit().run().unwrap();
             let report = release.audit.expect("audited run carries a report");
             assert!(report.passed());
             assert_eq!(report.checks.len(), 6);
             assert_eq!(report.n, md.len());
-            assert_eq!(report.stage.name(), stage);
+            assert_eq!(report.stage, Stage::Anatomize);
             let json = release.manifest.to_json();
             let summary = anatomy_obs::validate_manifest_json(&json).unwrap();
             assert_eq!(summary.audit_passed, Some(true));
             // The manifest's audit block is stage-stamped and its check
             // set equals the registry for that stage.
-            assert_eq!(summary.audit_stage.as_deref(), Some(stage));
-            let mut expected: Vec<&str> = anatomy_audit::names_for(Stage::parse(stage).unwrap());
+            assert_eq!(summary.audit_stage.as_deref(), Some("anatomize"));
+            let mut expected: Vec<&str> = anatomy_audit::names_for(Stage::Anatomize);
             let mut got: Vec<&str> = summary.audit_checks.iter().map(String::as_str).collect();
             expected.sort_unstable();
             got.sort_unstable();

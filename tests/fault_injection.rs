@@ -8,7 +8,7 @@
 //! [`render_chain`]; harmless means the fault never reached the data
 //! (its op index fell beyond the run, or it hit a page never read back)
 //! and the release passes **every invariant the `anatomy-audit`
-//! registry lists for its engine's stage** — the check set is asserted
+//! registry lists for the `anatomize` stage** — the check set is asserted
 //! by enumeration against the registry, so a newly registered invariant
 //! joins this matrix with no edit here. A fault must never panic and
 //! never yield a release that fails its own audit.
@@ -76,9 +76,9 @@ enum Outcome {
 
 /// Assert the loud-or-harmless contract and classify the outcome. A
 /// clean release must have run *exactly* the invariants the registry
-/// lists for `stage` — not a subset that happens to pass — and every
-/// one of them must hold.
-fn classify(result: Result<Release, anatomy::Error>, stage: Stage, ctx: &str) -> Outcome {
+/// lists for the `anatomize` stage — not a subset that happens to pass —
+/// and every one of them must hold.
+fn classify(result: Result<Release, anatomy::Error>, ctx: &str) -> Outcome {
     match result {
         Ok(release) => {
             let report = release
@@ -89,15 +89,19 @@ fn classify(result: Result<Release, anatomy::Error>, stage: Stage, ctx: &str) ->
                 "{ctx}: release published but failed its audit:\n{}",
                 report.render()
             );
-            assert_eq!(report.stage, stage, "{ctx}: audit ran at the wrong stage");
+            assert_eq!(
+                report.stage,
+                Stage::Anatomize,
+                "{ctx}: audit ran at the wrong stage"
+            );
             let (_, checks) = report.summary();
             let mut got: Vec<&str> = checks.iter().map(|(name, _)| name.as_str()).collect();
-            let mut expected = names_for(stage);
+            let mut expected = names_for(Stage::Anatomize);
             got.sort_unstable();
             expected.sort_unstable();
             assert_eq!(
                 got, expected,
-                "{ctx}: audit ran a different check set than the registry lists for {stage}"
+                "{ctx}: audit ran a different check set than the registry lists"
             );
             Outcome::CleanRelease
         }
@@ -152,18 +156,18 @@ fn fault_matrix_is_loud_or_harmless() {
     ];
 
     type Runner = fn(&Microdata) -> Result<Release, anatomy::Error>;
-    let engines: [(&str, Runner, Stage); 2] = [
-        ("external", audited_external_run, Stage::AnatomizeExternal),
-        ("sharded", audited_sharded_run, Stage::AnatomizeSharded),
+    let engines: [(&str, Runner); 2] = [
+        ("external", audited_external_run),
+        ("sharded", audited_sharded_run),
     ];
-    for (engine, run, stage) in engines {
+    for (engine, run) in engines {
         for (codec, md) in [("arity2", dataset(1)), ("arity4", dataset(3))] {
             for (name, schedule) in &kinds {
                 let mut loud = 0;
                 for op in 0..=12u64 {
                     let ctx = format!("{engine}/{codec}/{name}@op{op}");
                     let scope = FaultScope::install(schedule(op));
-                    let outcome = classify(run(&md), stage, &ctx);
+                    let outcome = classify(run(&md), &ctx);
                     drop(scope);
                     if outcome == Outcome::StorageFault {
                         loud += 1;
@@ -184,12 +188,9 @@ fn fault_matrix_is_loud_or_harmless() {
 #[test]
 fn unfired_faults_leave_the_run_untouched() {
     let md = dataset(1);
-    for (run, stage) in [
-        (
-            audited_external_run as fn(&Microdata) -> Result<Release, anatomy::Error>,
-            Stage::AnatomizeExternal,
-        ),
-        (audited_sharded_run, Stage::AnatomizeSharded),
+    for run in [
+        audited_external_run as fn(&Microdata) -> Result<Release, anatomy::Error>,
+        audited_sharded_run,
     ] {
         let baseline = run(&md).unwrap();
 
@@ -203,10 +204,7 @@ fn unfired_faults_leave_the_run_untouched() {
 
         assert_eq!(baseline.tables, shadowed.tables);
         assert_eq!(baseline.io, shadowed.io);
-        assert_eq!(
-            classify(Ok(shadowed), stage, "unfired"),
-            Outcome::CleanRelease
-        );
+        assert_eq!(classify(Ok(shadowed), "unfired"), Outcome::CleanRelease);
     }
 }
 
@@ -220,7 +218,7 @@ fn seeded_schedules_hold_the_contract() {
         let cfg = FaultConfig::seeded(seed);
         let ctx = format!("seeded({seed}) = {:?}", cfg.faults().collect::<Vec<_>>());
         let scope = FaultScope::install(cfg);
-        let outcome = classify(audited_external_run(&md), Stage::AnatomizeExternal, &ctx);
+        let outcome = classify(audited_external_run(&md), &ctx);
         drop(scope);
         if outcome == Outcome::StorageFault {
             loud += 1;

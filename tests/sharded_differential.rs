@@ -9,7 +9,7 @@
 //! release that matches the oracle but breaks a paper property still
 //! fails here.
 
-use anatomy::audit::{audit_release_for, Stage};
+use anatomy::audit::audit_release;
 use anatomy::core::{
     anatomize, anatomize_sharded, AnatomizeConfig, AnatomizedTables, BucketStrategy, CoreError,
     ShardConfig,
@@ -79,12 +79,12 @@ fn check(rows: &[(u32, u32, u32)], l: usize, seed: u64, strategy: BucketStrategy
         (Ok(expect), Ok(got)) => {
             assert_eq!(got, expect, "tables diverge (n={})", md.len());
             // Registry enumeration: the agreed-on release passes every
-            // invariant registered for the sharded engine's stage. Only
+            // invariant registered for the `anatomize` stage. Only
             // the paper's largest-first strategy promises Property 1
             // (the ≤ l−1 residue bound is its Lemma); the round-robin
             // ablation may legitimately leave more residue tuples.
             if strategy == BucketStrategy::LargestFirst {
-                let report = audit_release_for(Stage::AnatomizeSharded, &got, l);
+                let report = audit_release(&got, l);
                 assert!(
                     report.passed(),
                     "sharded release fails a registered invariant (n={}):\n{}",
