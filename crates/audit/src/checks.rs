@@ -36,9 +36,9 @@ fn check_structure(ctx: &PartsCtx<'_>) -> CheckOutcome {
         }
         // Dense ids: with `groups` distinct ids, the largest must be
         // `groups − 1` and the smallest 0.
-        if let (Some((&lo, _)), Some((&hi, _))) = (
-            ctx.qit_sizes.iter().next(),
-            ctx.qit_sizes.iter().next_back(),
+        if let (Some((lo, _)), Some((hi, _))) = (
+            ctx.table.qit_groups().next(),
+            ctx.table.qit_groups().next_back(),
         ) {
             if lo != 0 || hi as usize != ctx.groups - 1 {
                 break 'structure CheckOutcome::fail(
@@ -50,28 +50,25 @@ fn check_structure(ctx: &PartsCtx<'_>) -> CheckOutcome {
                 );
             }
         }
-        for (&g, &size) in &ctx.qit_sizes {
-            match ctx.st_mass.get(&g) {
-                None => {
-                    break 'structure CheckOutcome::fail(
-                        CHECK_QIT_ST_STRUCTURE,
-                        format!("group {g} has {size} QIT tuples but no ST records"),
-                    );
-                }
-                Some(&mass) if mass != size => {
-                    break 'structure CheckOutcome::fail(
-                        CHECK_QIT_ST_STRUCTURE,
-                        format!("group {g}: ST counts sum to {mass} but QIT has {size} tuples"),
-                    );
-                }
-                Some(_) => {}
+        for (g, t) in ctx.table.qit_groups() {
+            let size = t.qit_size;
+            if !t.in_st() {
+                break 'structure CheckOutcome::fail(
+                    CHECK_QIT_ST_STRUCTURE,
+                    format!("group {g} has {size} QIT tuples but no ST records"),
+                );
+            }
+            if t.st_mass != size {
+                break 'structure CheckOutcome::fail(
+                    CHECK_QIT_ST_STRUCTURE,
+                    format!(
+                        "group {g}: ST counts sum to {} but QIT has {size} tuples",
+                        t.st_mass
+                    ),
+                );
             }
         }
-        if let Some((&g, _)) = ctx
-            .st_mass
-            .iter()
-            .find(|(g, _)| !ctx.qit_sizes.contains_key(g))
-        {
+        if let Some((g, _)) = ctx.table.st_groups().find(|(_, t)| !t.in_qit()) {
             break 'structure CheckOutcome::fail(
                 CHECK_QIT_ST_STRUCTURE,
                 format!("ST references group {g} absent from the QIT"),
@@ -100,15 +97,16 @@ fn check_diversity(ctx: &PartsCtx<'_>) -> CheckOutcome {
             format!("l = {l}, but Definition 2 needs l >= 2"),
         );
     }
-    match ctx.st_max.iter().find(|(g, &max)| {
-        let mass = ctx.st_mass.get(g).copied().unwrap_or(0);
-        (max as u64) * (l as u64) > mass
-    }) {
-        Some((&g, &max)) => CheckOutcome::fail(
+    match ctx
+        .table
+        .st_groups()
+        .find(|(_, t)| u64::from(t.st_max) * (l as u64) > t.st_mass)
+    {
+        Some((g, t)) => CheckOutcome::fail(
             CHECK_L_DIVERSITY,
             format!(
-                "group {g} is not {l}-diverse: a value occurs {max} times in {} tuples",
-                ctx.st_mass.get(&g).copied().unwrap_or(0)
+                "group {g} is not {l}-diverse: a value occurs {} times in {} tuples",
+                t.st_max, t.st_mass
             ),
         ),
         None => CheckOutcome::pass(CHECK_L_DIVERSITY),
@@ -143,14 +141,18 @@ fn check_sizes(ctx: &PartsCtx<'_>) -> CheckOutcome {
                 ),
             );
         }
-        if let Some((&g, &size)) = ctx
-            .qit_sizes
-            .iter()
-            .find(|(_, &size)| size < l as u64 || size > (2 * l - 1) as u64)
+        if let Some((g, t)) = ctx
+            .table
+            .qit_groups()
+            .find(|(_, t)| t.qit_size < l as u64 || t.qit_size > (2 * l - 1) as u64)
         {
             break 'sizes CheckOutcome::fail(
                 CHECK_GROUP_SIZES,
-                format!("group {g} has {size} tuples, outside [{l}, {}]", 2 * l - 1),
+                format!(
+                    "group {g} has {} tuples, outside [{l}, {}]",
+                    t.qit_size,
+                    2 * l - 1
+                ),
             );
         }
         CheckOutcome::pass(CHECK_GROUP_SIZES)
@@ -183,9 +185,9 @@ fn check_residues(ctx: &PartsCtx<'_>) -> CheckOutcome {
         }
         if l >= 2 {
             let residues: u64 = ctx
-                .qit_sizes
-                .values()
-                .map(|&size| size.saturating_sub(l as u64))
+                .table
+                .qit_groups()
+                .map(|(_, t)| t.qit_size.saturating_sub(l as u64))
                 .sum();
             if residues > (l - 1) as u64 {
                 break 'residue CheckOutcome::fail(

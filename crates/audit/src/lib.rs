@@ -41,6 +41,11 @@
 //!   ids run in contiguous emission-order blocks and the previously
 //!   published rows survive verbatim as a prefix.
 //!
+//! The parts-level checks read one per-group table
+//! ([`registry::GroupTable`]) that [`PartsCtx::new`] fills in one pass
+//! over the QIT's group ids and one over the ST, so the table costs
+//! O(n + |ST|) time and memory whatever ids the input names.
+//!
 //! [`audit_parts`] runs the parts-level checks on raw `(group_ids, ST)`
 //! parts — tolerant of arbitrarily corrupt input, it never panics — and
 //! [`audit_release`] runs the full stage battery on an assembled
@@ -580,6 +585,86 @@ mod tests {
         assert!((clean.worst_posterior - 1.0 / 3.0).abs() < 1e-12);
     }
 
+    /// ST records from `(group, value, count)` triples.
+    fn st_rows(rows: &[(GroupId, u32, u32)]) -> Vec<StRecord> {
+        rows.iter()
+            .map(|&(group, v, count)| StRecord {
+                group,
+                value: Value(v),
+                count,
+            })
+            .collect()
+    }
+
+    /// Corrupt parts whose group ids reach `n` or beyond: a QIT group 9
+    /// over 7 rows (ST group `u32::MAX` rides along), a dense QIT whose ST
+    /// names group `u32::MAX`, and a lone group 3 over 3 rows.
+    fn wild_id_parts() -> [(Vec<GroupId>, Vec<StRecord>); 3] {
+        let past_n = (
+            vec![0, 0, 0, 1, 1, 1, 9],
+            st_rows(&[
+                (0, 0, 1),
+                (0, 1, 1),
+                (0, 2, 1),
+                (1, 0, 1),
+                (1, 1, 1),
+                (1, 2, 1),
+                (9, 4, 1),
+                (u32::MAX, 3, 2),
+            ]),
+        );
+        let st_only = (
+            vec![0, 0, 1, 1],
+            st_rows(&[(0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 2, 1), (u32::MAX, 0, 1)]),
+        );
+        let lone = (vec![3, 3, 3], st_rows(&[(3, 0, 1), (3, 1, 1), (3, 2, 1)]));
+        [past_n, st_only, lone]
+    }
+
+    #[test]
+    fn wild_group_ids_keep_their_verdicts() {
+        // Per input: the structure, sizes and diversity details at l = 2,
+        // then groups, rce and worst posterior.
+        let expected = [
+            (
+                Some("QIT group ids are not dense 0..3 (span 0..=9)"),
+                Some("group 9 has 1 tuples, outside [2, 3]"),
+                Some("group 9 is not 2-diverse: a value occurs 1 times in 1 tuples"),
+                3,
+                4.0,
+                1.0,
+            ),
+            (
+                Some("ST references group 4294967295 absent from the QIT"),
+                None,
+                Some("group 4294967295 is not 2-diverse: a value occurs 1 times in 1 tuples"),
+                2,
+                2.0,
+                0.5,
+            ),
+            (
+                Some("QIT group ids are not dense 0..1 (span 3..=3)"),
+                None,
+                None,
+                1,
+                2.0,
+                1.0 / 3.0,
+            ),
+        ];
+        for ((gids, st), (structure, sizes, diversity, groups, rce, worst)) in
+            wild_id_parts().into_iter().zip(expected)
+        {
+            let report = audit_parts(&gids, &st, 2);
+            let detail = |name| report.check(name).unwrap().detail.as_deref();
+            assert_eq!(detail(CHECK_QIT_ST_STRUCTURE), structure, "{gids:?}");
+            assert_eq!(detail(CHECK_GROUP_SIZES), sizes, "{gids:?}");
+            assert_eq!(detail(CHECK_L_DIVERSITY), diversity, "{gids:?}");
+            assert_eq!(report.groups, groups);
+            assert_eq!(report.rce, rce);
+            assert_eq!(report.worst_posterior, worst);
+        }
+    }
+
     #[test]
     fn corrupt_garbage_never_panics() {
         // Wild group ids, unsorted ST, zero counts, ST-only groups: every
@@ -612,7 +697,7 @@ mod tests {
                 }],
             ),
         ];
-        for (gids, st) in cases {
+        for (gids, st) in cases.into_iter().chain(wild_id_parts()) {
             for l in [0usize, 1, 2, 5] {
                 for stage in Stage::ALL {
                     let report = audit_parts_for(stage, &gids, &st, l);

@@ -77,10 +77,95 @@ impl Severity {
     }
 }
 
+/// One QI-group's tallies as the QIT and the ST each see them. A group
+/// the QIT never names has `qit_size == 0`; one the ST never names has
+/// `st_rows == 0`.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct GroupTally {
+    /// QIT rows carrying the id: the group's population.
+    pub qit_size: u64,
+    /// ST rows naming the id.
+    pub st_rows: u64,
+    /// Sum of the group's ST counts.
+    pub st_mass: u64,
+    /// Largest ST count in the group.
+    pub st_max: u32,
+    /// Sum of the squared ST counts (`q` of Equation 13).
+    pub st_sq: u128,
+}
+
+impl GroupTally {
+    /// Whether the QIT names the group.
+    pub fn in_qit(&self) -> bool {
+        self.qit_size > 0
+    }
+
+    /// Whether the ST names the group.
+    pub fn in_st(&self) -> bool {
+        self.st_rows > 0
+    }
+}
+
+/// Per-group tallies keyed by group id, visited in ascending id order.
+/// A dense release over `n` QIT rows uses ids below `n`; those index a
+/// vector that grows to the largest id seen. Ids of `n` or more, which
+/// only a corrupt release carries, go to an ordered map, so the table
+/// stays O(n + |ST|) whatever ids the input names.
+#[derive(Debug)]
+pub struct GroupTable {
+    n: usize,
+    dense: Vec<GroupTally>,
+    sparse: BTreeMap<GroupId, GroupTally>,
+}
+
+impl GroupTable {
+    fn new(n: usize) -> Self {
+        GroupTable {
+            n,
+            dense: Vec::new(),
+            sparse: BTreeMap::new(),
+        }
+    }
+
+    fn slot(&mut self, g: GroupId) -> &mut GroupTally {
+        let i = g as usize;
+        if i >= self.n {
+            return self.sparse.entry(g).or_default();
+        }
+        if i >= self.dense.len() {
+            self.dense.resize(i + 1, GroupTally::default());
+        }
+        &mut self.dense[i]
+    }
+
+    /// Every group either table names, in ascending id order.
+    fn iter(&self) -> impl DoubleEndedIterator<Item = (GroupId, &GroupTally)> + '_ {
+        // Dense ids are all below `n` and sparse ids all at or above it,
+        // so the chain is ascending.
+        self.dense
+            .iter()
+            .enumerate()
+            .map(|(i, t)| (i as GroupId, t))
+            .chain(self.sparse.iter().map(|(&g, t)| (g, t)))
+            .filter(|(_, t)| t.in_qit() || t.in_st())
+    }
+
+    /// The groups the QIT names, in ascending id order.
+    pub fn qit_groups(&self) -> impl DoubleEndedIterator<Item = (GroupId, &GroupTally)> + '_ {
+        self.iter().filter(|(_, t)| t.in_qit())
+    }
+
+    /// The groups the ST names, in ascending id order.
+    pub fn st_groups(&self) -> impl DoubleEndedIterator<Item = (GroupId, &GroupTally)> + '_ {
+        self.iter().filter(|(_, t)| t.in_st())
+    }
+}
+
 /// Everything the check functions over raw release parts share: the
-/// parsed `(group_ids, ST, l)` triple plus the derived histograms and
-/// the achieved re-construction error. Computed once per audit, handed
-/// to every registered check.
+/// parsed `(group_ids, ST, l)` triple plus the per-group tallies and
+/// the achieved re-construction error. Computed once per audit, in one
+/// pass over the QIT's group ids and one over the ST, and handed to
+/// every registered check.
 pub struct PartsCtx<'a> {
     /// The QIT's group-id column, as parsed (not validated).
     pub group_ids: &'a [GroupId],
@@ -92,12 +177,8 @@ pub struct PartsCtx<'a> {
     pub n: usize,
     /// Distinct QI-groups seen in the QIT.
     pub groups: usize,
-    /// Group populations as the QIT sees them.
-    pub qit_sizes: BTreeMap<GroupId, u64>,
-    /// Per-group total ST mass.
-    pub st_mass: BTreeMap<GroupId, u64>,
-    /// Per-group maximum ST count.
-    pub st_max: BTreeMap<GroupId, u32>,
+    /// Per-group QIT population and ST histogram tallies.
+    pub table: GroupTable,
     /// First ST ordering/duplication defect, in words.
     pub order_defect: Option<String>,
     /// First zero-count ST row, in words.
@@ -109,25 +190,22 @@ pub struct PartsCtx<'a> {
 }
 
 impl<'a> PartsCtx<'a> {
-    /// Derive the shared state from raw parts. Tolerates arbitrarily
-    /// corrupt input — sparse or wild group ids, unsorted or duplicated
-    /// ST records, zero counts — so the checks report instead of panic.
+    /// Derive the shared state from raw parts in O(n + |ST|) time and
+    /// memory. Tolerates arbitrarily corrupt input — sparse or wild
+    /// group ids, unsorted or duplicated ST records, zero counts — so
+    /// the checks report instead of panic.
     pub fn new(group_ids: &'a [GroupId], st: &'a [StRecord], l: usize) -> Self {
         let n = group_ids.len();
+        let mut table = GroupTable::new(n);
 
-        // Group populations as the QIT sees them. A corrupt release may
-        // use arbitrary ids, so count into a map rather than a dense
-        // vector.
-        let mut qit_sizes: BTreeMap<GroupId, u64> = BTreeMap::new();
+        // Group populations as the QIT sees them.
         for &g in group_ids {
-            *qit_sizes.entry(g).or_insert(0) += 1;
+            table.slot(g).qit_size += 1;
         }
-        let groups = qit_sizes.len();
+        let groups = table.qit_groups().count();
 
-        // Group histograms as the ST sees them (mass and max count),
-        // plus the ST's own ordering defects.
-        let mut st_mass: BTreeMap<GroupId, u64> = BTreeMap::new();
-        let mut st_max: BTreeMap<GroupId, u32> = BTreeMap::new();
+        // Group histograms as the ST sees them, plus the ST's own
+        // ordering defects.
         let mut order_defect: Option<String> = None;
         let mut zero_count: Option<String> = None;
         for (i, r) in st.iter().enumerate() {
@@ -149,9 +227,11 @@ impl<'a> PartsCtx<'a> {
                     ));
                 }
             }
-            *st_mass.entry(r.group).or_insert(0) += r.count as u64;
-            let m = st_max.entry(r.group).or_insert(0);
-            *m = (*m).max(r.count);
+            let t = table.slot(r.group);
+            t.st_rows += 1;
+            t.st_mass += u64::from(r.count);
+            t.st_max = t.st_max.max(r.count);
+            t.st_sq += u128::from(r.count).pow(2);
         }
 
         // Achieved RCE from the ST histograms against QIT group
@@ -164,15 +244,10 @@ impl<'a> PartsCtx<'a> {
         // occurs s/l times, making q/s = s/l an integer, so a release on
         // the floor sums integers only and `rce_bound` needs no tolerance.
         let mut rce = 0.0f64;
-        for (&g, &size) in &qit_sizes {
-            let q: u128 = st
-                .iter()
-                .filter(|r| r.group == g)
-                .map(|r| u128::from(r.count).pow(2))
-                .sum();
-            let s = size as f64;
-            let m = st_mass.get(&g).copied().unwrap_or(0) as f64;
-            rce += m - q as f64 / s * (2.0 - m / s);
+        for (_, t) in table.qit_groups() {
+            let s = t.qit_size as f64;
+            let m = t.st_mass as f64;
+            rce += m - t.st_sq as f64 / s * (2.0 - m / s);
         }
         let rce_bound = if l >= 1 {
             n as f64 * (1.0 - 1.0 / l as f64)
@@ -186,9 +261,7 @@ impl<'a> PartsCtx<'a> {
             l,
             n,
             groups,
-            qit_sizes,
-            st_mass,
-            st_max,
+            table,
             order_defect,
             zero_count,
             rce,
@@ -201,9 +274,10 @@ impl<'a> PartsCtx<'a> {
     /// over its QIT population, maximised over groups. Corollary 1 caps
     /// it at `1/l` for an l-diverse release.
     pub fn worst_posterior(&self) -> f64 {
-        self.st_max
-            .iter()
-            .filter_map(|(g, &max)| Some(f64::from(max) / *self.qit_sizes.get(g)? as f64))
+        self.table
+            .st_groups()
+            .filter(|(_, t)| t.in_qit())
+            .map(|(_, t)| f64::from(t.st_max) / t.qit_size as f64)
             .fold(0.0, f64::max)
     }
 }
@@ -368,5 +442,71 @@ mod tests {
         assert!(inc.starts_with("7 registered invariants (stage incremental):"));
         let anatomize = render_registry(Some(Stage::Anatomize));
         assert!(anatomize.starts_with("6 registered invariants (stage anatomize):"));
+    }
+
+    mod properties {
+        use super::*;
+        use anatomy_tables::Value;
+        use proptest::prelude::*;
+
+        /// Ids 0..12 fall on both sides of `n` (at most 10 QIT rows); 12
+        /// stands for `u32::MAX`.
+        fn id(g: u32) -> GroupId {
+            if g == 12 {
+                u32::MAX
+            } else {
+                g
+            }
+        }
+
+        proptest! {
+            /// The group table agrees with a naive per-id map: the same
+            /// ids in the same ascending order and the same tallies, and
+            /// its RCE is bit-identical to one that rescans the ST for
+            /// each group.
+            #[test]
+            fn group_table_matches_naive_maps(
+                qit in proptest::collection::vec(0u32..13, 0..10),
+                st in proptest::collection::vec((0u32..13, 0u32..4, 0u32..4), 0..16),
+            ) {
+                let gids: Vec<GroupId> = qit.into_iter().map(id).collect();
+                let st: Vec<StRecord> = st
+                    .into_iter()
+                    .map(|(g, v, count)| StRecord { group: id(g), value: Value(v), count })
+                    .collect();
+                let ctx = PartsCtx::new(&gids, &st, 3);
+
+                let mut naive: BTreeMap<GroupId, (u64, u64, u64, u32, u128)> = BTreeMap::new();
+                for &g in &gids {
+                    naive.entry(g).or_default().0 += 1;
+                }
+                for r in &st {
+                    let e = naive.entry(r.group).or_default();
+                    e.1 += 1;
+                    e.2 += u64::from(r.count);
+                    e.3 = e.3.max(r.count);
+                    e.4 += u128::from(r.count).pow(2);
+                }
+                let table: Vec<_> = ctx
+                    .table
+                    .iter()
+                    .map(|(g, t)| (g, (t.qit_size, t.st_rows, t.st_mass, t.st_max, t.st_sq)))
+                    .collect();
+                prop_assert_eq!(table, naive.clone().into_iter().collect::<Vec<_>>());
+                prop_assert_eq!(ctx.groups, naive.values().filter(|e| e.0 > 0).count());
+
+                let mut rce = 0.0f64;
+                for (&g, e) in naive.iter().filter(|(_, e)| e.0 > 0) {
+                    let q: u128 = st
+                        .iter()
+                        .filter(|r| r.group == g)
+                        .map(|r| u128::from(r.count).pow(2))
+                        .sum();
+                    let (s, m) = (e.0 as f64, e.2 as f64);
+                    rce += m - q as f64 / s * (2.0 - m / s);
+                }
+                prop_assert_eq!(ctx.rce.to_bits(), rce.to_bits());
+            }
+        }
     }
 }

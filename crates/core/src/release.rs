@@ -12,31 +12,76 @@ use crate::error::CoreError;
 use crate::partition::GroupId;
 use crate::published::{AnatomizedTables, StRecord};
 use anatomy_tables::{Schema, TableBuilder, TablesError, Value};
-use std::fmt::Write as _;
 
 /// Serialize the QIT as CSV: QI attribute names + `Group-ID` header, value
 /// codes per row, 1-based group ids.
 pub fn qit_to_csv(tables: &AnatomizedTables) -> String {
-    let mut out = String::new();
-    let names = tables.qi_table().schema().names().join(",");
-    let _ = writeln!(out, "{names},Group-ID");
-    for r in 0..tables.len() {
-        for i in 0..tables.qi_count() {
-            let _ = write!(out, "{},", tables.qi_codes(i)[r]);
+    let schema = tables.qi_table().schema();
+    let columns: Vec<&[u32]> = (0..tables.qi_count()).map(|i| tables.qi_codes(i)).collect();
+    // Codes sit below their domain sizes and 1-based ids at most at the
+    // group count, which bounds every row's width.
+    let row_bytes: usize = schema
+        .attributes()
+        .iter()
+        .map(|a| digits(a.domain_size().saturating_sub(1)) + 1)
+        .sum::<usize>()
+        + digits(tables.group_count() as u32)
+        + 1;
+    let header = schema.names().join(",") + ",Group-ID\n";
+    let mut out = String::with_capacity(header.len() + tables.len() * row_bytes);
+    out.push_str(&header);
+    for (r, &g) in tables.group_ids().iter().enumerate() {
+        for column in &columns {
+            push_u32(&mut out, column[r]);
+            out.push(',');
         }
-        let _ = writeln!(out, "{}", tables.group_ids()[r] + 1);
+        push_u32(&mut out, g + 1);
+        out.push('\n');
     }
     out
 }
 
 /// Serialize the ST as CSV: `Group-ID,As,Count`, 1-based group ids.
 pub fn st_to_csv(tables: &AnatomizedTables) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "Group-ID,As,Count");
-    for rec in tables.st_records() {
-        let _ = writeln!(out, "{},{},{}", rec.group + 1, rec.value.code(), rec.count);
+    let st = tables.st_records();
+    let (max_value, max_count) = st
+        .iter()
+        .fold((0, 0), |(v, c), r| (r.value.code().max(v), r.count.max(c)));
+    let row_bytes = digits(tables.group_count() as u32) + digits(max_value) + digits(max_count) + 3;
+    let header = "Group-ID,As,Count\n";
+    let mut out = String::with_capacity(header.len() + st.len() * row_bytes);
+    out.push_str(header);
+    for rec in st {
+        push_u32(&mut out, rec.group + 1);
+        out.push(',');
+        push_u32(&mut out, rec.value.code());
+        out.push(',');
+        push_u32(&mut out, rec.count);
+        out.push('\n');
     }
     out
+}
+
+/// Decimal digits in `v`.
+fn digits(v: u32) -> usize {
+    v.checked_ilog10().map_or(1, |d| d as usize + 1)
+}
+
+/// Append `v` in decimal. Writing the digits into a stack buffer skips
+/// the `fmt` machinery, which dominates the cost of a release's
+/// millions of small integers.
+fn push_u32(out: &mut String, mut v: u32) {
+    let mut buf = [0u8; 10];
+    let mut i = buf.len();
+    loop {
+        i -= 1;
+        buf[i] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&buf[i..]).expect("decimal digits are ASCII"));
 }
 
 fn csv_err(line: usize, message: impl Into<String>) -> CoreError {
@@ -215,6 +260,59 @@ mod tests {
         }
         let st_csv = st_to_csv(&tables);
         assert!(st_csv.starts_with("Group-ID,As,Count"));
+    }
+
+    /// 100 groups of two over one QI column: QI codes run 0..200, 1-based
+    /// group ids 1..=100 and sensitive codes 9/10 or 99/100, so each
+    /// field crosses from one to two and from two to three digits.
+    #[test]
+    fn csv_text_is_pinned_across_digit_boundaries() {
+        let schema = Schema::new(vec![Attribute::numerical("Age", 200)]).unwrap();
+        let mut b = TableBuilder::new(schema);
+        for r in 0..200u32 {
+            b.push_row(&[r]).unwrap();
+        }
+        let value = |r: u32| if (r / 2).is_multiple_of(2) { 9 } else { 99 } + r % 2;
+        let st: Vec<StRecord> = (0..200)
+            .map(|r| StRecord {
+                group: r / 2,
+                value: Value(value(r)),
+                count: 1,
+            })
+            .collect();
+        let gids: Vec<GroupId> = (0..200).map(|r| r / 2).collect();
+        let tables = AnatomizedTables::from_parts(b.finish(), gids, st, 2).unwrap();
+
+        let qit_csv = qit_to_csv(&tables);
+        let expected: String = std::iter::once("Age,Group-ID\n".to_string())
+            .chain((0..200).map(|r| format!("{r},{}\n", r / 2 + 1)))
+            .collect();
+        assert_eq!(qit_csv, expected);
+        assert!(qit_csv.starts_with("Age,Group-ID\n0,1\n1,1\n2,2\n"));
+        assert!(qit_csv.contains("\n9,5\n10,6\n"));
+        assert!(qit_csv.contains("\n17,9\n18,10\n"));
+        assert!(qit_csv.contains("\n99,50\n100,51\n"));
+        assert!(qit_csv.ends_with("\n197,99\n198,100\n199,100\n"));
+
+        let st_csv = st_to_csv(&tables);
+        let expected: String = std::iter::once("Group-ID,As,Count\n".to_string())
+            .chain((0..200).map(|r| format!("{},{},1\n", r / 2 + 1, value(r))))
+            .collect();
+        assert_eq!(st_csv, expected);
+        assert!(st_csv.starts_with("Group-ID,As,Count\n1,9,1\n1,10,1\n2,99,1\n2,100,1\n"));
+        assert!(st_csv.contains("\n9,9,1\n9,10,1\n10,99,1\n10,100,1\n"));
+        assert!(st_csv.ends_with("\n99,9,1\n99,10,1\n100,99,1\n100,100,1\n"));
+    }
+
+    #[test]
+    fn decimal_writer_matches_display() {
+        let edges = (0..10).flat_map(|d| [10u32.pow(d) - 1, 10u32.pow(d)]);
+        for v in edges.chain([u32::MAX - 1, u32::MAX]) {
+            let mut out = String::new();
+            push_u32(&mut out, v);
+            assert_eq!(out, v.to_string());
+            assert_eq!(digits(v), out.len());
+        }
     }
 
     #[test]

@@ -25,8 +25,10 @@ impl Snapshot {
     /// buckets, and span calls/totals subtract; gauges and span extrema
     /// (`min_ns`/`max_ns`) keep the later snapshot's values, while a
     /// histogram delta's `max` is additionally capped by the window's
-    /// highest occupied bucket ([`HistSnapshot::since`]). Instruments
-    /// absent from `earlier` pass through unchanged.
+    /// highest occupied bucket ([`HistSnapshot::since`]). Spans with no
+    /// calls in the window are left out, so no lifetime extrema leak into
+    /// a window that never ran them. Other instruments absent from
+    /// `earlier` pass through unchanged.
     pub fn since(&self, earlier: &Snapshot) -> Snapshot {
         let counters = self
             .counters
@@ -63,6 +65,7 @@ impl Snapshot {
                     },
                 )
             })
+            .filter(|(_, delta)| delta.calls > 0)
             .collect();
         Snapshot {
             counters,
@@ -124,6 +127,22 @@ mod tests {
         assert_eq!(delta.hists["sizes"].count, 1);
         assert_eq!(delta.hists["sizes"].sum, 8);
         assert_eq!(delta.spans["phase"].calls, 1);
+    }
+
+    #[test]
+    fn spans_idle_in_the_window_are_left_out() {
+        let r = Registry::new();
+        r.set_enabled(true);
+        {
+            let _s = r.span("before_only");
+        }
+        let before = r.snapshot();
+        {
+            let _s = r.span("in_window");
+        }
+        let delta = r.snapshot().since(&before);
+        assert!(!delta.spans.contains_key("before_only"), "{delta:?}");
+        assert_eq!(delta.spans["in_window"].calls, 1);
     }
 
     #[test]
