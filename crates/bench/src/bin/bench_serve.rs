@@ -280,19 +280,6 @@ fn run(cfg: &Config) -> BenchResult<String> {
         report.busy
     );
 
-    // Latency percentiles come from the server's own stats endpoint and
-    // must pass the manifest validator (p50 <= p90 <= p99 <= max). The
-    // manifest must also carry the v2 index footprint gauges — proof the
-    // server is really answering off the compressed container index.
-    let latency = client.stats()?;
-    anatomy_obs::validate_manifest_json(&latency)
-        .map_err(|e| format!("stats manifest failed validation: {e}"))?;
-    for gauge in ["query.index_v2_bytes", "query.index_v2_containers_array"] {
-        if !latency.contains(&format!("\"{gauge}\"")) {
-            return Err(format!("stats manifest is missing the {gauge} gauge").into());
-        }
-    }
-
     // Monitoring phase: scrape again after the traffic, re-validate,
     // and require every counter to be monotone across the two scrapes
     // with at least one that actually grew. A short sleep lets the
@@ -308,6 +295,36 @@ fn run(cfg: &Config) -> BenchResult<String> {
     eprintln!(
         "# monitoring: {} families / {} samples per scrape, {grew} counters grew",
         expo2.families, expo2.samples
+    );
+
+    // The scrape must carry the v2 index footprint gauges — proof the
+    // server is really answering off the compressed container index.
+    for gauge in [
+        "anatomy_query_index_v2_bytes",
+        "anatomy_query_index_v2_containers_array",
+    ] {
+        if anatomy_obs::sample_value(&scrape2, gauge, &[]).is_none() {
+            return Err(format!("scrape is missing the {gauge} gauge").into());
+        }
+    }
+    // Latency: the server's lifetime `serve.batch` summary, read from the
+    // same scrape, with its percentiles ordered p50 <= p99 <= max.
+    let sample = |family: &str, labels: &[(&str, &str)]| {
+        anatomy_obs::sample_value(&scrape2, family, labels)
+            .ok_or_else(|| format!("scrape is missing {family} {labels:?}"))
+    };
+    let batch_count = sample("anatomy_span_ns_serve_batch_count", &[])?;
+    let p50 = sample("anatomy_span_ns_serve_batch", &[("quantile", "0.5")])?;
+    let p99 = sample("anatomy_span_ns_serve_batch", &[("quantile", "0.99")])?;
+    let max = sample("anatomy_span_ns_serve_batch_max", &[])?;
+    if batch_count < 1.0 || !(p50 <= p99 && p99 <= max) {
+        return Err(format!(
+            "serve.batch summary out of order: count {batch_count}, p50 {p50}, p99 {p99}, max {max}"
+        )
+        .into());
+    }
+    let latency = format!(
+        r#"{{ "span": "serve.batch", "count": {batch_count}, "p50_ns": {p50}, "p99_ns": {p99}, "max_ns": {max} }}"#
     );
 
     // In-process the bench shares the server's registry, so the rolling
@@ -444,7 +461,6 @@ fn run(cfg: &Config) -> BenchResult<String> {
         tq = report.queries,
         ms = report.elapsed.as_secs_f64() * 1e3,
         busy = report.busy,
-        latency = latency.trim(),
         windows = windowed
             .iter()
             .map(|(label, p50, p99)| format!(

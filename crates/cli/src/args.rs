@@ -10,11 +10,6 @@ use std::collections::HashMap;
 pub enum EngineArg {
     /// The in-memory frequency ladder (the default).
     InMemory,
-    /// The paged external algorithm of Theorem 3.
-    External {
-        /// Page size in bytes (`--page-size`, default 4096).
-        page_size: usize,
-    },
     /// The sharded out-of-core pipeline.
     Sharded {
         /// Page size in bytes (`--page-size`, default 4096).
@@ -39,7 +34,7 @@ pub enum Command {
         sensitive: String,
     },
     /// `anatomy publish --data F --schema F --sensitive NAME --l N
-    ///  --qit F --st F [--engine in-memory|external|sharded]
+    ///  --qit F --st F [--engine in-memory|sharded]
     ///  [--page-size N] [--shards N] [--shard-pages N]
     ///  [--seed N] [--metrics F] [--trace F]`
     Publish {
@@ -100,7 +95,10 @@ pub enum Command {
         stage: Option<String>,
     },
     /// `anatomy query --qit F --st F --schema F --sensitive NAME --l N
-    ///  --query SPEC [--indexed | --index-v2] [--metrics F] [--trace F]`
+    ///  --query SPEC [--metrics F] [--trace F]`
+    ///
+    /// Answers through the compressed v2 container index and its
+    /// clustered batch evaluator, the path `anatomy serve` runs.
     Query {
         /// QIT CSV path.
         qit: String,
@@ -114,14 +112,6 @@ pub enum Command {
         l: usize,
         /// Query in the `anatomy_query::workload_to_text` line format.
         query: String,
-        /// Estimate through the v1 bitmap query index instead of the
-        /// scalar estimator (identical answers; faster on many-query
-        /// batches).
-        indexed: bool,
-        /// Estimate through the compressed v2 container index with the
-        /// clustered batch evaluator (identical answers; fastest, and
-        /// far smaller than v1 at scale).
-        index_v2: bool,
         /// Write the run's `RunManifest` JSON here.
         metrics: Option<String>,
         /// Write an execution trace here (`.jsonl` for JSONL, anything
@@ -195,15 +185,15 @@ pub enum Command {
 pub const USAGE: &str = "\
 usage:
   anatomy stats   --data F --schema F --sensitive NAME
-  anatomy publish --data F --schema F --sensitive NAME --l N --qit F --st F [--engine in-memory|external|sharded] [--page-size N] [--shards N] [--shard-pages N] [--seed N] [--audit] [--metrics F] [--trace F]
+  anatomy publish --data F --schema F --sensitive NAME --l N --qit F --st F [--engine in-memory|sharded] [--page-size N] [--shards N] [--shard-pages N] [--seed N] [--audit] [--metrics F] [--trace F]
   anatomy verify  --qit F --st F --schema F --sensitive NAME --l N [--stage STAGE]
   anatomy verify  --list-checks [--stage STAGE]
-  anatomy query   --qit F --st F --schema F --sensitive NAME --l N --query 'qi0=1|2;s=0' [--indexed | --index-v2] [--metrics F] [--trace F]
+  anatomy query   --qit F --st F --schema F --sensitive NAME --l N --query 'qi0=1|2;s=0' [--metrics F] [--trace F]
   anatomy serve   --qit F --st F --schema F --sensitive NAME --l N [--data F] [--listen HOST:PORT|unix:PATH] [--port-file F] [--name NAME] [--max-inflight N] [--max-batch N] [--slowlog-threshold-ms N] [--slowlog-capacity N]
   anatomy top     --connect HOST:PORT|unix:PATH [--interval-ms N] [--iterations N] [--scrape F|-] [--slowlog N]";
 
 /// Flags that take no value; their presence alone means "true".
-const BOOLEAN_FLAGS: &[&str] = &["indexed", "index-v2", "audit", "list-checks"];
+const BOOLEAN_FLAGS: &[&str] = &["audit", "list-checks"];
 
 fn flags(args: &[String]) -> CliResult<HashMap<String, String>> {
     let mut map = HashMap::new();
@@ -277,19 +267,13 @@ fn take_engine(map: &mut HashMap<String, String>) -> CliResult<EngineArg> {
             reject(map, &["page-size", "shards", "shard-pages"], "in-memory")?;
             Ok(EngineArg::InMemory)
         }
-        "external" => {
-            reject(map, &["shards", "shard-pages"], "external")?;
-            Ok(EngineArg::External {
-                page_size: take_usize(map, "page-size", 4096)?,
-            })
-        }
         "sharded" => Ok(EngineArg::Sharded {
             page_size: take_usize(map, "page-size", 4096)?,
             shards: take_usize(map, "shards", 8)?,
             pages_per_shard: take_usize(map, "shard-pages", 16)?,
         }),
         other => Err(Error::msg(format!(
-            "--engine must be in-memory, external, or sharded, got `{other}`"
+            "--engine must be in-memory or sharded, got `{other}`"
         ))),
     }
 }
@@ -347,8 +331,6 @@ pub fn parse_args(args: &[String]) -> CliResult<Command> {
                 .parse()
                 .map_err(|_| "--l must be an integer")?,
             query: take(&mut map, "query")?,
-            indexed: map.remove("indexed").is_some(),
-            index_v2: map.remove("index-v2").is_some(),
             metrics: map.remove("metrics"),
             trace: map.remove("trace"),
         },
@@ -486,14 +468,6 @@ mod tests {
             EngineArg::InMemory
         );
         assert_eq!(
-            engine(&format!("{BASE} --engine external")),
-            EngineArg::External { page_size: 4096 }
-        );
-        assert_eq!(
-            engine(&format!("{BASE} --engine external --page-size 256")),
-            EngineArg::External { page_size: 256 }
-        );
-        assert_eq!(
             engine(&format!("{BASE} --engine sharded")),
             EngineArg::Sharded {
                 page_size: 4096,
@@ -518,9 +492,9 @@ mod tests {
         const BASE: &str = "publish --data d --schema s --sensitive X --l 2 --qit q --st t";
         for bad in [
             format!("{BASE} --engine turbo"),
+            format!("{BASE} --engine external"),
             format!("{BASE} --shards 4"),
             format!("{BASE} --engine in-memory --page-size 256"),
-            format!("{BASE} --engine external --shards 4"),
             format!("{BASE} --engine sharded --shards 0"),
             format!("{BASE} --engine sharded --page-size none"),
         ] {
@@ -782,57 +756,8 @@ mod tests {
         ))
         .unwrap();
         match c {
-            Command::Query {
-                query,
-                indexed,
-                index_v2,
-                ..
-            } => {
-                assert_eq!(query, "qi0=1;s=0");
-                assert!(!indexed);
-                assert!(!index_v2);
-            }
+            Command::Query { query, .. } => assert_eq!(query, "qi0=1;s=0"),
             _ => panic!("wrong command"),
         }
-    }
-
-    #[test]
-    fn indexed_is_a_boolean_flag() {
-        // `--indexed` and `--index-v2` consume no value: `--query` right
-        // after either still parses as a flag, not as the flag's value.
-        let c = parse_args(&argv(
-            "query --qit q --st t --schema s --sensitive X --l 3 --indexed --query qi0=1;s=0",
-        ))
-        .unwrap();
-        match c {
-            Command::Query {
-                query,
-                indexed,
-                index_v2,
-                ..
-            } => {
-                assert_eq!(query, "qi0=1;s=0");
-                assert!(indexed);
-                assert!(!index_v2);
-            }
-            _ => panic!("wrong command"),
-        }
-        let c = parse_args(&argv(
-            "query --qit q --st t --schema s --sensitive X --l 3 --index-v2 --query qi0=1;s=0",
-        ))
-        .unwrap();
-        match c {
-            Command::Query {
-                indexed, index_v2, ..
-            } => {
-                assert!(!indexed);
-                assert!(index_v2);
-            }
-            _ => panic!("wrong command"),
-        }
-        assert!(parse_args(&argv(
-            "query --qit q --st t --schema s --sensitive X --l 3 --query qi0=1;s=0 --indexed --indexed"
-        ))
-        .is_err());
     }
 }

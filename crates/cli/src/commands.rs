@@ -12,10 +12,7 @@ use anatomy_core::release::{parse_release, parse_release_parts, qit_to_csv, st_t
 use anatomy_core::{AnatomizedTables, ShardConfig};
 use anatomy_obs::RunManifest;
 use anatomy_pool::Pool;
-use anatomy_query::{
-    estimate_anatomy, estimate_anatomy_batch, estimate_anatomy_batch_v2, workload_from_text,
-    QueryIndex, QueryIndexV2,
-};
+use anatomy_query::{estimate_anatomy_batch_v2, workload_from_text, QueryIndexV2};
 use anatomy_serve::{ServeConfig, ServedRelease, Server};
 use anatomy_tables::{csv, Microdata, Schema, Table, TableBuilder};
 use std::fmt::Write as _;
@@ -134,8 +131,6 @@ pub fn run(cmd: &Command) -> CliResult<String> {
             sensitive,
             l,
             query,
-            indexed,
-            index_v2,
             metrics,
             trace,
         } => query_cmd(
@@ -145,8 +140,6 @@ pub fn run(cmd: &Command) -> CliResult<String> {
             sensitive,
             *l,
             query,
-            *indexed,
-            *index_v2,
             metrics.as_deref(),
             trace.as_deref(),
         ),
@@ -302,7 +295,6 @@ fn publish(
     let md = load_microdata(data, &schema, sensitive)?;
     let engine = match engine {
         EngineArg::InMemory => Engine::InMemory,
-        EngineArg::External { page_size } => Engine::External(PageConfig::new(*page_size)?),
         EngineArg::Sharded {
             page_size,
             shards,
@@ -431,8 +423,6 @@ fn query_cmd(
     sensitive: &str,
     l: usize,
     query: &str,
-    indexed: bool,
-    index_v2: bool,
     metrics: Option<&str>,
     trace: Option<&str>,
 ) -> CliResult<String> {
@@ -448,22 +438,11 @@ fn query_cmd(
     let _scope = MetricsScope::new(metrics.is_some());
     let trace_scope = trace.map(|_| TraceScope::begin());
     let before = anatomy_obs::global().snapshot();
-    // Both indexes give identical estimates; build once for the batch and
-    // evaluate the whole workload on the persistent pool. The scalar path
-    // stays serial — it is the oracle both indexed paths are checked
-    // against. `--index-v2` wins when both flags are given.
-    let estimates: Vec<f64> = if index_v2 {
-        let index = QueryIndexV2::from_published(&tables);
-        estimate_anatomy_batch_v2(Pool::global(), &index, &tables, &queries)
-    } else if indexed {
-        let index = QueryIndex::from_published(&tables);
-        estimate_anatomy_batch(Pool::global(), &index, &tables, &queries)
-    } else {
-        queries
-            .iter()
-            .map(|q| estimate_anatomy(&tables, q))
-            .collect()
-    };
+    // The evaluator `anatomy serve` runs: build the v2 index once and
+    // answer the whole workload on the persistent pool. Its estimates are
+    // bit-identical to the scalar `estimate_anatomy` oracle.
+    let index = QueryIndexV2::from_published(&tables);
+    let estimates = estimate_anatomy_batch_v2(Pool::global(), &index, &tables, &queries);
     let mut out = String::new();
     for (q, est) in queries.iter().zip(&estimates) {
         let _ = writeln!(out, "{q}\n  estimate: {est:.3}");
@@ -471,9 +450,7 @@ fn query_cmd(
     if let Some(path) = metrics {
         let manifest = RunManifest::capture_since("cli.query", anatomy_obs::global(), &before)
             .with_param("queries", queries.len() as u64)
-            .with_param("l", l as u64)
-            .with_param("indexed", indexed)
-            .with_param("index_v2", index_v2);
+            .with_param("l", l as u64);
         write_metrics(path, &manifest)?;
         let _ = writeln!(out, "metrics -> {path}");
     }
@@ -773,8 +750,7 @@ mod tests {
     #[test]
     fn engines_publish_identical_releases_from_the_cli() {
         // The sharded engine honors the seed, so its CSVs must equal the
-        // in-memory engine's byte-for-byte; the external engine is
-        // deterministic and merely has to produce an auditable release.
+        // in-memory engine's byte-for-byte.
         let dir = scratch("engines");
         let data = write(&dir, "d.csv", &demo_data());
         let schema = write(&dir, "s.txt", SCHEMA);
@@ -819,9 +795,6 @@ mod tests {
         );
         assert_eq!(qit_mem, qit_sh);
         assert_eq!(st_mem, st_sh);
-        assert!(report.contains("I/O bill:"), "{report}");
-
-        let (report, _, _) = publish_with("ext", EngineArg::External { page_size: 64 });
         assert!(report.contains("I/O bill:"), "{report}");
 
         // A sharded budget too small for the sensitive domain surfaces
@@ -900,35 +873,35 @@ mod tests {
             sensitive: "Disease".into(),
             l: 4,
             query: "s=0".into(),
-            indexed: false,
-            index_v2: false,
             metrics: None,
             trace: None,
         })
         .unwrap();
         assert!(report.contains("estimate: 8.000"), "{report}");
 
-        // `--indexed` and `--index-v2` must produce the identical report.
-        for query in ["s=0", "qi0=20|21|22|23|24;s=1\nqi0=30|31|32;qi1=0;s=2"] {
-            let run_with = |indexed: bool, index_v2: bool| {
-                run(&Command::Query {
-                    qit: qit.clone(),
-                    st: st.clone(),
-                    schema: schema.clone(),
-                    sensitive: "Disease".into(),
-                    l: 4,
-                    query: query.into(),
-                    indexed,
-                    index_v2,
-                    metrics: None,
-                    trace: None,
-                })
-                .unwrap()
-            };
-            let scalar = run_with(false, false);
-            assert_eq!(scalar, run_with(true, false), "v1 on {query}");
-            assert_eq!(scalar, run_with(false, true), "v2 on {query}");
+        // The indexed batch path prints exactly the report the scalar
+        // `estimate_anatomy` oracle gives, on a multi-line workload.
+        let query = "qi0=20|21|22|23|24;s=1\nqi0=30|31|32;qi1=0;s=2\ns=0";
+        let report = run(&Command::Query {
+            qit: qit.clone(),
+            st: st.clone(),
+            schema: schema.clone(),
+            sensitive: "Disease".into(),
+            l: 4,
+            query: query.into(),
+            metrics: None,
+            trace: None,
+        })
+        .unwrap();
+        let (schema_obj, tables) = load_release(&qit, &st, &schema, "Disease", 4).unwrap();
+        let (qi, s_col) = designate(&schema_obj, "Disease").unwrap();
+        let domains = Microdata::new(empty_table(&schema_obj), qi, s_col).unwrap();
+        let mut oracle = String::new();
+        for q in workload_from_text(&domains, query).unwrap() {
+            let est = anatomy_query::estimate_anatomy(&tables, &q);
+            let _ = writeln!(oracle, "{q}\n  estimate: {est:.3}");
         }
+        assert_eq!(report, oracle);
     }
 
     #[test]

@@ -193,7 +193,6 @@ fn metrics_flag_emits_valid_manifests() {
             "4",
             "--query",
             "s=0\ns=1",
-            "--indexed",
             "--metrics",
             &query_metrics,
         ])
@@ -326,6 +325,18 @@ fn bad_usage_exits_2_with_usage_text() {
     assert!(String::from_utf8(out.stderr)
         .unwrap()
         .contains("unknown command `audit`"));
+
+    // Retired surface: the external engine and the query index flags.
+    for argv in [
+        "publish --data d --schema s --sensitive X --l 4 --qit q --st t --engine external",
+        "query --qit q --st t --schema s --sensitive X --l 4 --query s=0 --indexed",
+        "query --qit q --st t --schema s --sensitive X --l 4 --query s=0 --index-v2",
+    ] {
+        let out = bin().args(argv.split_whitespace()).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{argv}");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(stderr.contains("usage"), "{argv}: {stderr}");
+    }
 }
 
 #[test]
@@ -427,8 +438,8 @@ impl Drop for ChildGuard {
 }
 
 /// The resident server end to end through the binary: publish, serve
-/// with `--port-file`, answer a batch bit-for-bit, emit validating
-/// stats, and exit 0 on SHUTDOWN.
+/// with `--port-file`, answer a batch bit-for-bit, emit a validating
+/// `METRICS` scrape, and exit 0 on SHUTDOWN.
 #[test]
 fn serve_answers_batches_and_shuts_down_cleanly() {
     use anatomy_query::{evaluate_exact, workload_from_text};
@@ -522,10 +533,13 @@ fn serve_answers_batches_and_shuts_down_cleanly() {
         assert_eq!(served, evaluate_exact(&md, q), "mismatch on {q}");
     }
 
-    let stats = client.stats().unwrap();
-    let summary = anatomy_obs::validate_manifest_json(&stats).unwrap();
-    assert_eq!(summary.name, "serve");
-    assert!(stats.contains("\"serve.batch\""), "{stats}");
+    let scrape = client.metrics().unwrap();
+    anatomy_obs::validate_exposition(&scrape).unwrap();
+    assert_eq!(
+        anatomy_obs::sample_value(&scrape, "anatomy_span_ns_serve_batch_count", &[]),
+        Some(1.0),
+        "{scrape}"
+    );
 
     client.shutdown().unwrap();
     let out = guard.0.take().unwrap().wait_with_output().unwrap();

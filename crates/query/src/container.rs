@@ -18,12 +18,6 @@
 //! [`Container::and_count`] (popcount of the intersection with a dense
 //! accumulator) do all evaluation work, each `O(op_cost)` with the cost
 //! known up front so the planner can choose direct vs complement unions.
-//!
-//! The byte format ([`Container::write_bytes`] / [`Container::from_bytes`])
-//! is strict: hostile input decodes to a typed
-//! [`QueryError::CorruptIndex`], never a panic (fuzzed below).
-
-use crate::error::QueryError;
 
 /// log₂ of the chunk length.
 pub const CHUNK_BITS: u32 = 16;
@@ -32,7 +26,7 @@ pub const CHUNK_LEN: usize = 1 << CHUNK_BITS;
 /// `u64` words per dense chunk bitmap.
 pub const CHUNK_WORDS: usize = CHUNK_LEN / 64;
 
-/// Serialization tags (also the discriminants reported by `kind`).
+/// A container's representation, as reported by [`Container::kind`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ContainerKind {
     /// Sorted `u16` position array.
@@ -231,7 +225,7 @@ impl Container {
         }
     }
 
-    /// Visit every stored position ascending (tests and re-encoding).
+    /// Visit every stored position ascending.
     pub fn for_each_position(&self, mut f: impl FnMut(u16)) {
         match &self.repr {
             Repr::Array(a) => a.iter().for_each(|&p| f(p)),
@@ -252,149 +246,6 @@ impl Container {
                     }
                 }
             }
-        }
-    }
-
-    /// Serialize: `[tag u8][payload]` (see the byte-format tests).
-    pub fn write_bytes(&self, out: &mut Vec<u8>) {
-        match &self.repr {
-            Repr::Array(a) => {
-                out.push(0);
-                out.extend_from_slice(&(a.len() as u32).to_le_bytes());
-                for &p in a {
-                    out.extend_from_slice(&p.to_le_bytes());
-                }
-            }
-            Repr::Bitmap(b) => {
-                out.push(1);
-                for &w in b.iter() {
-                    out.extend_from_slice(&w.to_le_bytes());
-                }
-            }
-            Repr::Runs(r) => {
-                out.push(2);
-                out.extend_from_slice(&(r.len() as u32).to_le_bytes());
-                for &(start, last) in r {
-                    out.extend_from_slice(&start.to_le_bytes());
-                    out.extend_from_slice(&last.to_le_bytes());
-                }
-            }
-        }
-    }
-
-    /// Deserialize one container from the front of `bytes`, returning it
-    /// with the number of bytes consumed.
-    ///
-    /// Strict by design: unknown tags, truncation, unsorted arrays,
-    /// overlapping/adjacent/inverted runs, and empty containers are all
-    /// typed [`QueryError::CorruptIndex`] errors — hostile bytes can
-    /// never panic this path.
-    pub fn from_bytes(bytes: &[u8]) -> Result<(Container, usize), QueryError> {
-        let corrupt = |msg: &str| QueryError::CorruptIndex(msg.to_string());
-        let Some((&tag, rest)) = bytes.split_first() else {
-            return Err(corrupt("empty container input"));
-        };
-        let read_u32 = |b: &[u8]| -> Result<u32, QueryError> {
-            Ok(u32::from_le_bytes(
-                b.get(..4)
-                    .ok_or_else(|| corrupt("truncated length"))?
-                    .try_into()
-                    .expect("4-byte slice"),
-            ))
-        };
-        match tag {
-            0 => {
-                let len = read_u32(rest)? as usize;
-                if len == 0 {
-                    return Err(corrupt("empty array container"));
-                }
-                if len > CHUNK_LEN {
-                    return Err(corrupt("array container longer than a chunk"));
-                }
-                let payload = rest
-                    .get(4..4 + 2 * len)
-                    .ok_or_else(|| corrupt("truncated array container"))?;
-                let positions: Vec<u16> = payload
-                    .chunks_exact(2)
-                    .map(|c| u16::from_le_bytes(c.try_into().expect("2-byte chunk")))
-                    .collect();
-                if !positions.windows(2).all(|w| w[0] < w[1]) {
-                    return Err(corrupt("array container not strictly increasing"));
-                }
-                Ok((
-                    Container {
-                        card: len as u32,
-                        repr: Repr::Array(positions),
-                    },
-                    1 + 4 + 2 * len,
-                ))
-            }
-            1 => {
-                let payload = rest
-                    .get(..8 * CHUNK_WORDS)
-                    .ok_or_else(|| corrupt("truncated bitmap container"))?;
-                let words: Box<[u64]> = payload
-                    .chunks_exact(8)
-                    .map(|c| u64::from_le_bytes(c.try_into().expect("8-byte chunk")))
-                    .collect();
-                let card: u64 = words.iter().map(|w| w.count_ones() as u64).sum();
-                if card == 0 {
-                    return Err(corrupt("empty bitmap container"));
-                }
-                Ok((
-                    Container {
-                        card: card as u32,
-                        repr: Repr::Bitmap(words),
-                    },
-                    1 + 8 * CHUNK_WORDS,
-                ))
-            }
-            2 => {
-                let len = read_u32(rest)? as usize;
-                if len == 0 {
-                    return Err(corrupt("empty run container"));
-                }
-                if len > CHUNK_LEN / 2 {
-                    return Err(corrupt("more runs than a chunk can hold"));
-                }
-                let payload = rest
-                    .get(4..4 + 4 * len)
-                    .ok_or_else(|| corrupt("truncated run container"))?;
-                let runs: Vec<(u16, u16)> = payload
-                    .chunks_exact(4)
-                    .map(|c| {
-                        (
-                            u16::from_le_bytes(c[..2].try_into().expect("2 bytes")),
-                            u16::from_le_bytes(c[2..].try_into().expect("2 bytes")),
-                        )
-                    })
-                    .collect();
-                let mut card = 0u32;
-                let mut prev_last: Option<u16> = None;
-                for &(start, last) in &runs {
-                    if start > last {
-                        return Err(corrupt("inverted run"));
-                    }
-                    if let Some(pl) = prev_last {
-                        // Adjacent runs must have been merged at build
-                        // time; accepting them would make equality and
-                        // byte-size accounting representation-dependent.
-                        if pl == u16::MAX || start <= pl + 1 {
-                            return Err(corrupt("overlapping or unmerged adjacent runs"));
-                        }
-                    }
-                    card += (last - start) as u32 + 1;
-                    prev_last = Some(last);
-                }
-                Ok((
-                    Container {
-                        card,
-                        repr: Repr::Runs(runs),
-                    },
-                    1 + 4 + 4 * len,
-                ))
-            }
-            other => Err(corrupt(&format!("unknown container tag {other}"))),
         }
     }
 }
@@ -618,135 +469,32 @@ mod tests {
         assert_eq!(b.and_count(&acc, CHUNK_WORDS), dense.len() as u64);
     }
 
-    #[test]
-    fn byte_round_trip_for_every_kind() {
-        let cases: Vec<Vec<u16>> = vec![
-            (0..77u16).map(|i| i * 13).collect(),
-            (0..u16::MAX).filter(|p| p % 2 == 0).collect(),
-            (0..=u16::MAX).collect(),
-            vec![42],
-        ];
-        for positions in cases {
-            let c = Container::from_sorted(&positions);
-            let mut bytes = Vec::new();
-            c.write_bytes(&mut bytes);
-            let (back, consumed) = Container::from_bytes(&bytes).expect("round trip");
-            assert_eq!(consumed, bytes.len());
-            assert_eq!(back, c);
-            // Trailing bytes are not consumed.
-            bytes.push(0xAB);
-            let (_, consumed2) = Container::from_bytes(&bytes).expect("prefix decode");
-            assert_eq!(consumed2, consumed);
-        }
-    }
-
-    #[test]
-    fn hostile_bytes_error_typed() {
-        let corrupt = |bytes: &[u8]| {
-            matches!(
-                Container::from_bytes(bytes),
-                Err(QueryError::CorruptIndex(_))
-            )
-        };
-        assert!(corrupt(&[])); // empty
-        assert!(corrupt(&[9, 0, 0, 0, 0])); // unknown tag
-        assert!(corrupt(&[0])); // truncated array length
-        assert!(corrupt(&[0, 0, 0, 0, 0])); // empty array
-        assert!(corrupt(&[0, 2, 0, 0, 0, 5, 0])); // truncated array payload
-        assert!(corrupt(&[0, 2, 0, 0, 0, 5, 0, 5, 0])); // duplicate positions
-        assert!(corrupt(&[0, 2, 0, 0, 0, 9, 0, 5, 0])); // descending positions
-        assert!(corrupt(&[0, 255, 255, 255, 255])); // absurd length
-        assert!(corrupt(&[1, 0, 0])); // truncated bitmap
-        let mut zero_bitmap = vec![0u8; 1 + 8 * CHUNK_WORDS];
-        zero_bitmap[0] = 1;
-        assert!(corrupt(&zero_bitmap)); // all-zero bitmap
-        assert!(corrupt(&[2])); // truncated run length
-        assert!(corrupt(&[2, 0, 0, 0, 0])); // empty runs
-        assert!(corrupt(&[2, 1, 0, 0, 0, 5, 0, 3, 0])); // inverted run
-        assert!(corrupt(&[2, 2, 0, 0, 0, 1, 0, 4, 0, 5, 0, 9, 0])); // adjacent runs
-        assert!(corrupt(&[2, 2, 0, 0, 0, 1, 0, 8, 0, 5, 0, 9, 0])); // overlap
-    }
-
     /// Regression at the chunk population extremes a release of
     /// n = 65 536·k ± 1 rows produces: a final chunk holding exactly one
-    /// position, or exactly 65 535 of them. Both must round-trip through
-    /// the byte format and count exactly against an accumulator sized
-    /// for that truncated final chunk.
+    /// position, or exactly 65 535 of them. Both must count exactly
+    /// against an accumulator sized for that truncated final chunk.
     #[test]
-    fn chunk_boundary_populations_round_trip_and_count_exactly() {
+    fn chunk_boundary_populations_count_exactly() {
         // One position in the final chunk (n = 65 536·k + 1): the
         // accumulator tail is a single word.
         let one = Container::from_sorted(&[0]);
-        let mut bytes = Vec::new();
-        one.write_bytes(&mut bytes);
-        let (back, consumed) = Container::from_bytes(&bytes).expect("round trip");
-        assert_eq!(consumed, bytes.len());
-        assert_eq!(back, one);
         let mut acc = vec![0u64; CHUNK_WORDS + 1];
-        back.or_into(&mut acc, CHUNK_WORDS);
+        one.or_into(&mut acc, CHUNK_WORDS);
         assert_eq!(acc[CHUNK_WORDS], 1);
-        assert_eq!(back.and_count(&acc, CHUNK_WORDS), 1);
+        assert_eq!(one.and_count(&acc, CHUNK_WORDS), 1);
 
         // 65 535 positions (n = 65 536·k − 1): one run 0..=65 534, in an
         // accumulator of exactly ceil(65 535 / 64) = 1024 words.
         let almost: Vec<u16> = (0..u16::MAX).collect();
         let c = Container::from_sorted(&almost);
         assert_eq!(c.kind(), ContainerKind::Run);
-        let mut bytes = Vec::new();
-        c.write_bytes(&mut bytes);
-        let (back, consumed) = Container::from_bytes(&bytes).expect("round trip");
-        assert_eq!(consumed, bytes.len());
-        assert_eq!(back, c);
         let mut acc = vec![0u64; 65_535usize.div_ceil(64)];
-        back.or_into(&mut acc, 0);
+        c.or_into(&mut acc, 0);
         assert_eq!(
             acc.iter().map(|w| w.count_ones() as u64).sum::<u64>(),
             65_535
         );
-        assert_eq!(back.and_count(&acc, 0), 65_535);
-    }
-
-    /// The decoder's size guards at their exact limits: a full-chunk
-    /// array (the non-canonical encoding of 65 536 positions) and the
-    /// maximum 32 768-run list decode; one element more of either is a
-    /// typed corruption, never a panic or a wrapped count.
-    #[test]
-    fn decoder_accepts_full_chunk_extremes_and_rejects_overfull() {
-        let mut bytes = vec![0u8];
-        bytes.extend_from_slice(&(CHUNK_LEN as u32).to_le_bytes());
-        for p in 0..=u16::MAX {
-            bytes.extend_from_slice(&p.to_le_bytes());
-        }
-        let (c, consumed) = Container::from_bytes(&bytes).expect("full-chunk array");
-        assert_eq!(consumed, bytes.len());
-        assert_eq!(c.cardinality(), CHUNK_LEN);
-
-        let mut over = vec![0u8];
-        over.extend_from_slice(&((CHUNK_LEN + 1) as u32).to_le_bytes());
-        over.resize(over.len() + 2 * (CHUNK_LEN + 1), 0);
-        assert!(matches!(
-            Container::from_bytes(&over),
-            Err(QueryError::CorruptIndex(_))
-        ));
-
-        let mut bytes = vec![2u8];
-        bytes.extend_from_slice(&((CHUNK_LEN / 2) as u32).to_le_bytes());
-        for i in 0..(CHUNK_LEN / 2) as u32 {
-            let p = (2 * i) as u16;
-            bytes.extend_from_slice(&p.to_le_bytes());
-            bytes.extend_from_slice(&p.to_le_bytes());
-        }
-        let (c, consumed) = Container::from_bytes(&bytes).expect("maximal run list");
-        assert_eq!(consumed, bytes.len());
-        assert_eq!(c.cardinality(), CHUNK_LEN / 2);
-
-        let mut over = vec![2u8];
-        over.extend_from_slice(&((CHUNK_LEN / 2 + 1) as u32).to_le_bytes());
-        over.resize(over.len() + 4 * (CHUNK_LEN / 2 + 1), 0);
-        assert!(matches!(
-            Container::from_bytes(&over),
-            Err(QueryError::CorruptIndex(_))
-        ));
+        assert_eq!(c.and_count(&acc, 0), 65_535);
     }
 
     #[test]
@@ -762,64 +510,5 @@ mod tests {
         assert_eq!(mix.bitmap_bytes, 8 * CHUNK_WORDS);
         assert_eq!(mix.containers(), 3);
         assert_eq!(mix.container_bytes(), 6 + 4 + 8 * CHUNK_WORDS);
-    }
-
-    mod properties {
-        use super::*;
-        use proptest::prelude::*;
-
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(128))]
-            /// Arbitrary bytes never panic the decoder; a successful
-            /// decode re-encodes to semantically equal containers.
-            #[test]
-            fn hostile_bytes_never_panic(bytes in proptest::collection::vec(0u8..=255, 0..64)) {
-                match Container::from_bytes(&bytes) {
-                    Ok((c, consumed)) => {
-                        prop_assert!(consumed <= bytes.len());
-                        prop_assert!(c.cardinality() > 0);
-                        let mut reenc = Vec::new();
-                        c.write_bytes(&mut reenc);
-                        let (back, _) = Container::from_bytes(&reenc).expect("re-decode");
-                        prop_assert_eq!(back.cardinality(), c.cardinality());
-                    }
-                    Err(QueryError::CorruptIndex(_)) => {}
-                    Err(other) => prop_assert!(false, "untyped error {:?}", other),
-                }
-            }
-
-            /// Build/encode/decode round-trips exactly for random sets
-            /// spanning the array/run density boundaries.
-            #[test]
-            fn round_trip_random_sets(
-                positions in proptest::collection::vec(0u16..=65535, 1..500),
-                stretch in 0usize..3,
-            ) {
-                let distinct: std::collections::BTreeSet<u16> =
-                    positions.iter().copied().collect();
-                // Optionally densify into runs to hit the run arm.
-                let sorted: Vec<u16> = if stretch > 0 {
-                    let base: Vec<u16> = distinct.iter().copied().take(8).collect();
-                    let mut dense = std::collections::BTreeSet::new();
-                    for b in base {
-                        for off in 0..(stretch * 700) {
-                            let p = b as usize + off;
-                            if p <= u16::MAX as usize {
-                                dense.insert(p as u16);
-                            }
-                        }
-                    }
-                    dense.into_iter().collect()
-                } else {
-                    distinct.into_iter().collect()
-                };
-                let c = Container::from_sorted(&sorted);
-                let mut bytes = Vec::new();
-                c.write_bytes(&mut bytes);
-                let (back, consumed) = Container::from_bytes(&bytes).expect("round trip");
-                prop_assert_eq!(consumed, bytes.len());
-                prop_assert_eq!(back, c);
-            }
-        }
     }
 }

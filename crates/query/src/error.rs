@@ -28,10 +28,6 @@ pub enum QueryError {
         /// Queries requested.
         requested: usize,
     },
-    /// Serialized index bytes failed structural validation (unknown
-    /// container tag, truncation, unsorted positions, malformed runs).
-    /// Hostile input lands here, never in a panic.
-    CorruptIndex(String),
 }
 
 impl fmt::Display for QueryError {
@@ -54,7 +50,6 @@ impl fmt::Display for QueryError {
                 f,
                 "could only generate {produced} of {requested} non-empty queries"
             ),
-            QueryError::CorruptIndex(msg) => write!(f, "corrupt index bytes: {msg}"),
         }
     }
 }

@@ -256,8 +256,8 @@ impl QueryIndexV2 {
 
     /// (Re-)publish the footprint and container-mix gauges to the
     /// global registry. `anatomy serve` builds its indexes before the
-    /// registry is enabled, then calls this when STATS reporting turns
-    /// on.
+    /// registry is enabled, then calls this once the registry is on so
+    /// `METRICS` carries them.
     pub fn report_gauges(&self) {
         let obs = anatomy_obs::global();
         let mix = self.container_mix();
@@ -788,9 +788,9 @@ mod tests {
 
     /// Row counts straddling the container chunk length (n = 2¹⁶ ± 1
     /// and 2¹⁶ exactly): the final chunk's accumulator tail is 1 word,
-    /// absent, or full-width, and every path — container byte
-    /// round-trip, serial evaluation, and the chunked batch evaluators —
-    /// must agree with the scalar oracle bit for bit.
+    /// absent, or full-width, and every path — serial evaluation and the
+    /// chunked batch evaluators — must agree with the scalar oracle bit
+    /// for bit.
     #[test]
     fn chunk_boundary_row_counts_agree_with_the_scalar_oracle() {
         use crate::container::CHUNK_LEN;
@@ -819,20 +819,14 @@ mod tests {
                     sens_pred: InPredicate::new(vec![0, 49], 50).unwrap(),
                 },
             ];
-            // Containers round-trip through the byte format at this n.
-            let mut roundtripped = 0usize;
-            for col in v2.qi.iter().chain(v2.sens.iter()) {
-                for vc in &col.values {
-                    for (_, c) in &vc.chunks {
-                        let mut bytes = Vec::new();
-                        c.write_bytes(&mut bytes);
-                        let (back, consumed) = Container::from_bytes(&bytes).expect("round trip");
-                        assert_eq!((&back, consumed), (c, bytes.len()), "n = {n}");
-                        roundtripped += 1;
-                    }
-                }
-            }
-            assert!(roundtripped > 0, "n = {n}: no containers built");
+            let built: usize = v2
+                .qi
+                .iter()
+                .chain(v2.sens.iter())
+                .flat_map(|col| &col.values)
+                .map(|vc| vc.chunks.len())
+                .sum();
+            assert!(built > 0, "n = {n}: no containers built");
             let pool = Pool::new(2);
             let exact_batch = evaluate_exact_batch_v2(&pool, &v2, &queries);
             let est_batch = estimate_anatomy_batch_v2(&pool, &v2, &tables, &queries);

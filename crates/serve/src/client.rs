@@ -83,15 +83,6 @@ impl ServeClient {
         self.request("RELEASES")
     }
 
-    /// The stats endpoint: one line of `RunManifest` JSON.
-    pub fn stats(&mut self) -> Result<String, ServeError> {
-        let lines = self.request("STATS")?;
-        lines
-            .into_iter()
-            .next()
-            .ok_or_else(|| ServeError::Protocol("STATS returned no payload".to_string()))
-    }
-
     /// The metrics endpoint: a Prometheus text exposition of the
     /// server's registry plus rolling-window aggregates, as one string
     /// (trailing newline included).

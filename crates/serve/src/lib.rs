@@ -2,18 +2,19 @@
 //!
 //! A resident query server for anatomized releases. Every other entry
 //! point in the workspace is a one-shot process that re-parses the
-//! release and rebuilds the bitmap [`QueryIndex`](anatomy_query::QueryIndex)
-//! per invocation; this crate loads a release **once**, caches the
-//! index, and answers COUNT-query batches over a socket for as long as
-//! the process lives — amortizing the milliseconds-scale build across
-//! millions of microseconds-scale queries (ROADMAP open item 1).
+//! release and rebuilds the compressed
+//! [`QueryIndexV2`](anatomy_query::QueryIndexV2) per invocation; this
+//! crate loads a release **once**, caches the index, and answers
+//! COUNT-query batches over a socket for as long as the process lives —
+//! amortizing the milliseconds-scale build across millions of
+//! microseconds-scale queries.
 //!
 //! Zero dependencies beyond the workspace: the protocol is
 //! newline-delimited UTF-8 text over `std::net` (TCP) or
 //! `std::os::unix::net` (unix sockets), batches are length-delimited by
-//! a query count in the request header, and the stats endpoint replies
-//! with the same single-line [`RunManifest`](anatomy_obs::RunManifest)
-//! JSON that `check_manifest` validates.
+//! a query count in the request header, and the metrics endpoint replies
+//! with the Prometheus text exposition that `check_exposition`
+//! validates.
 //!
 //! ## Protocol grammar
 //!
@@ -21,7 +22,7 @@
 //! body. Every response starts with a status line:
 //!
 //! ```text
-//! request  := "PING" | "RELEASES" | "STATS" | "METRICS"
+//! request  := "PING" | "RELEASES" | "METRICS"
 //!           | "SLOWLOG" [SP n] | "SHUTDOWN"
 //!           | "BATCH" SP name SP mode SP count NL query-line{count}
 //! mode     := "exact" | "estimate"
@@ -37,8 +38,9 @@
 //! decimal `u64` for `exact` mode, a shortest-round-trip `f64` for
 //! `estimate` mode (Rust's float `Display` guarantees the printed text
 //! parses back to the identical bits, so served answers stay bit-for-bit
-//! comparable to in-process evaluation). `STATS` answers one line of
-//! manifest JSON. `PING` and `SHUTDOWN` answer `OK 0`.
+//! comparable to in-process evaluation). `RELEASES` answers one line per
+//! loaded release. `PING` and `SHUTDOWN` answer `OK 0`. `GET /metrics`
+//! is the one request outside this grammar (see below).
 //!
 //! ## Continuous monitoring
 //!

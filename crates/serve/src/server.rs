@@ -1,10 +1,10 @@
 //! The accept loop, per-connection protocol handling, admission
-//! control, and the monitoring endpoints (stats, metrics, slowlog).
+//! control, and the monitoring endpoints (metrics, slowlog).
 
 use crate::protocol::{connect_stream, LineEvent, LineReader, Mode, Stream};
 use crate::release::ServedRelease;
 use crate::slowlog::{SlowEntry, SlowLog};
-use anatomy_obs::{render_exposition, ParamValue, RunManifest, WindowConfig, Windows};
+use anatomy_obs::{render_exposition, WindowConfig, Windows};
 use anatomy_pool::Pool;
 use anatomy_query::{estimate_anatomy_batch_v2, evaluate_exact_batch_v2, workload_from_text};
 use std::collections::HashMap;
@@ -24,7 +24,8 @@ const IDLE_POLL: Duration = Duration::from_millis(200);
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// `HOST:PORT` (port `0` picks a free one) or `unix:PATH`.
+    /// `HOST:PORT` (port `0` picks a free one) or `unix:PATH`. A stale
+    /// socket at `PATH` is replaced; anything else there fails the bind.
     pub listen: String,
     /// Batches evaluated concurrently before `BUSY` responses.
     pub max_inflight: usize,
@@ -74,7 +75,6 @@ struct ServeObs {
     queries: anatomy_obs::Counter,
     errors: anatomy_obs::Counter,
     busy_rejections: anatomy_obs::Counter,
-    stats_requests: anatomy_obs::Counter,
     metrics_requests: anatomy_obs::Counter,
     slowlog_entries: anatomy_obs::Counter,
     in_flight: anatomy_obs::Gauge,
@@ -89,7 +89,6 @@ impl ServeObs {
             queries: registry.counter("serve.queries"),
             errors: registry.counter("serve.errors"),
             busy_rejections: registry.counter("serve.busy_rejections"),
-            stats_requests: registry.counter("serve.stats_requests"),
             metrics_requests: registry.counter("serve.metrics_requests"),
             slowlog_entries: registry.counter("serve.slowlog_entries"),
             in_flight: registry.gauge("serve.in_flight"),
@@ -131,10 +130,6 @@ struct Shared {
     /// Ring state the sampler thread feeds and `METRICS` reads.
     windows: Arc<Mutex<Windows>>,
     slowlog: SlowLog,
-    /// The immutable portion of every `STATS` manifest — releases and
-    /// tuning knobs never change after bind, so they are captured once
-    /// here instead of being re-built per request.
-    stats_params: Vec<(String, ParamValue)>,
     conn_seq: AtomicU64,
 }
 
@@ -211,13 +206,14 @@ pub struct Server {
 
 impl Server {
     /// Bind the configured address and load `releases`. For unix
-    /// sockets a stale socket file from a dead server is removed first.
+    /// sockets a stale socket file from a dead server is replaced; any
+    /// other file at the path, or a live server's socket, fails with
+    /// [`io::ErrorKind::AddrInUse`] and is left untouched.
     pub fn bind(cfg: ServeConfig, releases: Vec<ServedRelease>) -> io::Result<Server> {
         let listener = if let Some(path) = cfg.listen.strip_prefix("unix:") {
             #[cfg(unix)]
             {
-                let _ = std::fs::remove_file(path);
-                Listener::Unix(UnixListener::bind(path)?, path.to_string())
+                Listener::Unix(bind_unix(path)?, path.to_string())
             }
             #[cfg(not(unix))]
             {
@@ -239,20 +235,13 @@ impl Server {
             .into_iter()
             .map(|r| (r.name().to_string(), r))
             .collect();
-        let max_inflight = cfg.max_inflight.max(1);
-        let max_batch = cfg.max_batch.max(1);
-        let stats_params = vec![
-            ("releases".to_string(), ParamValue::from(releases.len())),
-            ("max_inflight".to_string(), ParamValue::from(max_inflight)),
-            ("max_batch".to_string(), ParamValue::from(max_batch)),
-        ];
         Ok(Server {
             listener,
             addr,
             shared: Arc::new(Shared {
                 releases,
-                max_inflight,
-                max_batch,
+                max_inflight: cfg.max_inflight.max(1),
+                max_batch: cfg.max_batch.max(1),
                 in_flight: AtomicUsize::new(0),
                 stop: AtomicBool::new(false),
                 obs: ServeObs::new(),
@@ -262,7 +251,6 @@ impl Server {
                 errors: AtomicU64::new(0),
                 windows: Arc::new(Mutex::new(Windows::new(cfg.window.clone()))),
                 slowlog: SlowLog::new(cfg.slowlog_threshold, cfg.slowlog_capacity),
-                stats_params,
                 conn_seq: AtomicU64::new(0),
             }),
         })
@@ -276,14 +264,14 @@ impl Server {
 
     /// Serve until a `SHUTDOWN` request, then join every connection
     /// thread and return the lifetime summary. Enables the global
-    /// observability registry so the stats endpoint always has data,
-    /// and runs the window sampler thread for the server's lifetime so
-    /// `METRICS` answers carry rolling rates and percentiles.
+    /// observability registry so `METRICS` always has data, and runs the
+    /// window sampler thread for the server's lifetime so its answers
+    /// carry rolling rates and percentiles.
     pub fn run(self) -> io::Result<ServeSummary> {
         anatomy_obs::global().set_enabled(true);
         // The release indexes were built before the registry turned on,
         // so their footprint/container-mix gauges landed in a disabled
-        // registry; re-report them now so STATS always carries them.
+        // registry; re-report them now so METRICS always carries them.
         for release in self.shared.releases.values() {
             release.index().report_gauges();
         }
@@ -347,6 +335,31 @@ impl Server {
     }
 }
 
+/// Bind a unix socket at `path`, replacing only a stale socket: one that
+/// refuses connections because the server that made it is gone.
+#[cfg(unix)]
+fn bind_unix(path: &str) -> io::Result<UnixListener> {
+    use std::os::unix::fs::FileTypeExt as _;
+    match UnixListener::bind(path) {
+        Err(e) if e.kind() == io::ErrorKind::AddrInUse => {
+            let in_use =
+                |why: &str| io::Error::new(io::ErrorKind::AddrInUse, format!("{path} {why}"));
+            if !std::fs::symlink_metadata(path)?.file_type().is_socket() {
+                return Err(in_use("exists and is not a socket"));
+            }
+            match std::os::unix::net::UnixStream::connect(path) {
+                Ok(_) => Err(in_use("is a live server's socket")),
+                Err(e) if e.kind() == io::ErrorKind::ConnectionRefused => {
+                    std::fs::remove_file(path)?;
+                    UnixListener::bind(path)
+                }
+                Err(e) => Err(e),
+            }
+        }
+        bound => bound,
+    }
+}
+
 /// Read a request line, tolerating idle timeouts until `stop` is set.
 fn next_request(rd: &mut LineReader, shared: &Shared) -> io::Result<Option<String>> {
     loop {
@@ -369,15 +382,6 @@ fn render_metrics(shared: &Shared) -> String {
     let snapshot = anatomy_obs::global().snapshot();
     let aggregates = windows_lock(&shared.windows).aggregates();
     render_exposition(&snapshot, &aggregates)
-}
-
-/// The cached-params `STATS` manifest: only the live registry block is
-/// re-captured per request; the release/config params were frozen at
-/// bind time.
-fn stats_manifest(shared: &Shared) -> RunManifest {
-    let mut manifest = RunManifest::capture("serve", anatomy_obs::global());
-    manifest.params = shared.stats_params.clone();
-    manifest
 }
 
 fn handle_connection(conn: Box<dyn Stream>, shared: &Arc<Shared>, addr: &str) -> io::Result<()> {
@@ -407,10 +411,6 @@ fn handle_connection(conn: Box<dyn Stream>, shared: &Arc<Shared>, addr: &str) ->
                     );
                 }
                 write!(wr, "OK {}\n{body}", shared.releases.len())?;
-            }
-            Some("STATS") => {
-                shared.obs.stats_requests.incr();
-                writeln!(wr, "OK 1\n{}", stats_manifest(shared).to_json_compact())?;
             }
             Some("METRICS") => {
                 shared.obs.metrics_requests.incr();
@@ -590,9 +590,9 @@ fn handle_batch(
         }
     };
 
-    // The span behind the stats endpoint's latency block: one per
-    // served batch, covering evaluation and answer formatting. Its
-    // journal id doubles as the slow-query log's trace exemplar.
+    // The span behind `METRICS`' `serve.batch` summary: one per served
+    // batch, covering evaluation and answer formatting. Its journal id
+    // doubles as the slow-query log's trace exemplar.
     let started = Instant::now();
     let span = anatomy_obs::global().span("serve.batch");
     let span_id = span.trace_id();
@@ -635,31 +635,4 @@ fn handle_batch(
     shared.obs.batches.incr();
     shared.obs.queries.add(count as u64);
     Ok(true)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn cached_stats_params_pin_the_with_param_chain_json() {
-        // The params block is frozen at bind; a STATS response must stay
-        // byte-identical to the old per-request `with_param` chain.
-        let server = Server::bind(
-            ServeConfig {
-                max_inflight: 3,
-                max_batch: 77,
-                ..ServeConfig::default()
-            },
-            vec![],
-        )
-        .unwrap();
-        let manifest = stats_manifest(&server.shared);
-        let chained =
-            RunManifest::from_snapshot(&manifest.name, manifest.enabled, manifest.snapshot.clone())
-                .with_param("releases", 0u64)
-                .with_param("max_inflight", 3u64)
-                .with_param("max_batch", 77u64);
-        assert_eq!(manifest.to_json_compact(), chained.to_json_compact());
-    }
 }

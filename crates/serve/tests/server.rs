@@ -79,32 +79,40 @@ fn served_answers_match_both_oracles_bit_for_bit() {
 }
 
 #[test]
-fn stats_endpoint_emits_a_validating_manifest() {
+fn metrics_scrape_carries_batch_latency_and_index_gauges() {
     let (md, _, server) = exact_server(600, ServeConfig::default());
     let (addr, handle) = server.spawn();
     let queries = workload(&md, 48, 3);
     let mut client = ServeClient::connect(&addr).unwrap();
     client.batch_exact("demo", &queries).unwrap();
 
-    let stats = client.stats().unwrap();
-    let summary = anatomy_obs::validate_manifest_json(&stats).unwrap();
-    assert_eq!(summary.name, "serve");
-    // The per-batch span must surface in the validated latency block.
+    let scrape = client.metrics().unwrap();
+    anatomy_obs::validate_exposition(&scrape).unwrap();
+    // The per-batch span surfaces as a summary with lifetime quantiles.
     assert!(
-        stats.contains("\"serve.batch\""),
-        "no serve.batch latency entry in {stats}"
+        anatomy_obs::sample_value(
+            &scrape,
+            "anatomy_span_ns_serve_batch",
+            &[("quantile", "0.99")]
+        )
+        .is_some_and(|ns| ns > 0.0),
+        "no serve.batch latency in:\n{scrape}"
     );
-    assert!(stats.contains("\"serve.batches\""), "{stats}");
+    assert!(
+        anatomy_obs::sample_value(&scrape, "anatomy_serve_batches", &[]).is_some_and(|n| n >= 1.0),
+        "{scrape}"
+    );
     // The v2 index footprint and container-mix gauges must survive the
     // build-before-registry-enable ordering (re-reported in run()).
-    assert!(
-        stats.contains("\"query.index_v2_bytes\""),
-        "no v2 index memory gauge in {stats}"
-    );
-    assert!(
-        stats.contains("\"query.index_v2_containers_array\""),
-        "no container-mix gauges in {stats}"
-    );
+    for gauge in [
+        "anatomy_query_index_v2_bytes",
+        "anatomy_query_index_v2_containers_array",
+    ] {
+        assert!(
+            anatomy_obs::sample_value(&scrape, gauge, &[]).is_some(),
+            "no {gauge} in:\n{scrape}"
+        );
+    }
 
     client.shutdown().unwrap();
     handle.join().unwrap().unwrap();
@@ -175,6 +183,63 @@ fn unix_socket_round_trip_and_cleanup() {
     assert!(!path.exists(), "socket file not removed on shutdown");
 }
 
+/// A unix-socket path for one test, unique per process, and a config
+/// listening on it.
+#[cfg(unix)]
+fn unix_listen(tag: &str) -> (std::path::PathBuf, ServeConfig) {
+    let path =
+        std::env::temp_dir().join(format!("anatomy-serve-{tag}-{}.sock", std::process::id()));
+    let cfg = ServeConfig {
+        listen: format!("unix:{}", path.display()),
+        ..ServeConfig::default()
+    };
+    (path, cfg)
+}
+
+#[cfg(unix)]
+#[test]
+fn unix_bind_refuses_to_replace_a_regular_file() {
+    let (path, cfg) = unix_listen("regular-file");
+    std::fs::write(&path, b"precious bytes\n").unwrap();
+    let err = Server::bind(cfg, vec![])
+        .err()
+        .expect("bind over a regular file must fail");
+    assert_eq!(err.kind(), std::io::ErrorKind::AddrInUse, "{err}");
+    assert_eq!(std::fs::read(&path).unwrap(), b"precious bytes\n");
+    std::fs::remove_file(&path).unwrap();
+}
+
+#[cfg(unix)]
+#[test]
+fn unix_bind_refuses_to_take_over_a_live_server() {
+    let (path, cfg) = unix_listen("live");
+    let (addr, handle) = Server::bind(cfg.clone(), vec![]).unwrap().spawn();
+    let err = Server::bind(cfg, vec![])
+        .err()
+        .expect("bind over a live server's socket must fail");
+    assert_eq!(err.kind(), std::io::ErrorKind::AddrInUse, "{err}");
+    // The first server still owns the path and answers on it.
+    let mut client = ServeClient::connect(&addr).unwrap();
+    client.ping().unwrap();
+    client.shutdown().unwrap();
+    handle.join().unwrap().unwrap();
+    assert!(!path.exists(), "socket file not removed on shutdown");
+}
+
+#[cfg(unix)]
+#[test]
+fn unix_bind_replaces_a_stale_socket() {
+    let (path, cfg) = unix_listen("stale");
+    // A listener dropped without cleanup leaves its socket file behind.
+    drop(std::os::unix::net::UnixListener::bind(&path).unwrap());
+    assert!(path.exists());
+    let (addr, handle) = Server::bind(cfg, vec![]).unwrap().spawn();
+    let mut client = ServeClient::connect(&addr).unwrap();
+    client.ping().unwrap();
+    client.shutdown().unwrap();
+    handle.join().unwrap().unwrap();
+}
+
 #[test]
 fn malformed_and_oversized_batches_error_and_close() {
     let (_, _, server) = exact_server(
@@ -202,6 +267,9 @@ fn malformed_and_oversized_batches_error_and_close() {
     assert!(resp.contains("exceeds max_batch"), "{resp}");
     let resp = raw("FROB\n");
     assert!(resp.starts_with("ERR unknown request"), "{resp}");
+    // `METRICS` is the one monitoring verb; the retired `STATS` is unknown.
+    let resp = raw("STATS\n");
+    assert!(resp.starts_with("ERR unknown request `STATS`"), "{resp}");
     // A batch whose body parses to fewer queries than the header claims
     // (a blank line) is an error, but the count keeps the stream in
     // sync so the connection stays open.
@@ -219,7 +287,7 @@ fn malformed_and_oversized_batches_error_and_close() {
     let mut client = ServeClient::connect(&addr).unwrap();
     client.shutdown().unwrap();
     let summary = handle.join().unwrap().unwrap();
-    assert!(summary.errors >= 4, "summary: {summary:?}");
+    assert!(summary.errors >= 5, "summary: {summary:?}");
 }
 
 #[test]
@@ -343,15 +411,11 @@ fn metrics_endpoint_exposes_validating_windowed_scrapes() {
     // The satellite instruments registered at bind must be visible even
     // before they fire, and our own connection holds the gauge open.
     assert!(first.contains("anatomy_serve_busy_rejections"), "{first}");
-    assert!(first.contains("anatomy_serve_stats_requests"), "{first}");
     assert!(
         anatomy_obs::sample_value(&first, "anatomy_serve_connections_open", &[]).unwrap() >= 1.0,
         "own connection not in the gauge:\n{first}"
     );
 
-    let stats_before =
-        anatomy_obs::sample_value(&first, "anatomy_serve_stats_requests", &[]).unwrap();
-    client.stats().unwrap();
     let queries = workload(&md, 32, 21);
     client.batch_exact("demo", &queries).unwrap();
 
@@ -373,11 +437,6 @@ fn metrics_endpoint_exposes_validating_windowed_scrapes() {
     let s2 = anatomy_obs::validate_exposition(&second).unwrap();
     let grew = anatomy_obs::check_counter_monotonic(&s1, &s2).unwrap();
     assert!(grew > 0, "no counters in common between scrapes");
-    assert!(
-        anatomy_obs::sample_value(&second, "anatomy_serve_stats_requests", &[]).unwrap()
-            > stats_before,
-        "STATS left no registry trace:\n{second}"
-    );
     // The per-batch span surfaces as a summary family with windowed
     // quantiles capped by the windowed max.
     let p99 = anatomy_obs::sample_value(

@@ -6,8 +6,9 @@
 //!
 //! **Start with [`prelude`]**: `use anatomy::prelude::*;` brings in the
 //! [`Publish`] builder — the one front door for producing a release —
-//! plus the COUNT-query evaluators and the substrate types they need. [`Publish::run`] returns a [`Release`]
-//! carrying the QIT/ST pair, the partition or I/O bill, and a
+//! plus the COUNT-query evaluators and the substrate types they need.
+//! [`Publish::run`] returns a [`Release`] carrying the QIT/ST pair, the
+//! partition (in-memory engine) or I/O bill (sharded engine), and a
 //! [`RunManifest`](obs::RunManifest) describing the run itself.
 //! Failures from any layer unify into [`Error`], and [`render_chain`]
 //! prints a full `caused by:` report.
@@ -19,15 +20,18 @@
 //!   microdata, CSV, sampling, histograms);
 //! * [`storage`] — simulated paged storage with logical I/O accounting;
 //! * [`core`] — the Anatomy technique itself: `anatomize`, the published
-//!   QIT/ST pair, adversary analysis, RCE, plus the k-anonymity
-//!   comparison, the release/audit surface, and the incremental and
-//!   multi-sensitive extensions;
+//!   QIT/ST pair, adversary analysis, RCE, the paged engines (Theorem
+//!   3's `anatomize_external` behind Figures 8–9, the sharded pipeline
+//!   behind [`Engine::Sharded`]), plus the k-anonymity comparison, the
+//!   release/audit surface, and the incremental and multi-sensitive
+//!   extensions;
 //! * [`generalization`] — the baselines: l-diverse and k-anonymous
 //!   Mondrian, single-dimension global recoding, taxonomy trees,
 //!   information-loss metrics;
 //! * [`query`] — COUNT queries, workload generation, exact evaluation,
 //!   and the two estimators of the paper's Section 6, by scan or through
-//!   a bitmap index;
+//!   a bitmap index (v2 for the CLI and server, v1 for the figure
+//!   harness);
 //! * [`audit`] — the release-integrity auditor: re-verifies every paper
 //!   invariant (Definitions 1–3, Properties 1–3, Theorem 2) from the
 //!   published pair alone, as [`Publish::audit`] and `anatomy verify`

@@ -2,10 +2,11 @@
 //!
 //! Brings in the [`Publish`](crate::Publish) front door, the types its
 //! [`Release`](crate::Release) carries, the COUNT-query evaluators (exact
-//! ground truth, the anatomy estimator, the generalization estimator,
-//! each by scan or through a [`QueryIndex`]), and the handful of
-//! substrate types every program touches (schemas, microdata, page
-//! configuration, manifests). Anything rarer stays behind its module
+//! ground truth, the anatomy estimator and the generalization estimator
+//! by scan; exact counts and anatomy estimates for whole workloads
+//! through a [`QueryIndexV2`], the path `anatomy query` and
+//! `anatomy serve` run), and the handful of substrate types every
+//! program touches (schemas, microdata, page configuration, manifests). Anything rarer stays behind its module
 //! path — the prelude is deliberately small so `*`-importing it cannot
 //! shadow much.
 
@@ -22,8 +23,8 @@ pub use anatomy_core::{
 pub use anatomy_obs::{RunManifest, Span};
 pub use anatomy_pool::Pool;
 pub use anatomy_query::{
-    estimate_anatomy, estimate_anatomy_indexed, estimate_generalization, evaluate_exact,
-    evaluate_exact_indexed, CountQuery, QueryIndex, WorkloadSpec,
+    estimate_anatomy, estimate_anatomy_batch_v2, estimate_generalization, evaluate_exact,
+    evaluate_exact_batch_v2, CountQuery, QueryIndexV2, WorkloadSpec,
 };
 pub use anatomy_storage::{IoCounter, IoStats, PageConfig};
 pub use anatomy_tables::{Attribute, Microdata, Schema, Table, TableBuilder, Value};

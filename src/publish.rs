@@ -2,12 +2,12 @@
 //!
 //! The member crates expose each step separately — `anatomize` for the
 //! partition, `AnatomizedTables::publish` for the QIT/ST pair,
-//! `anatomize_external` for the paged O(n/b) variant — and every caller
-//! had to thread them together by hand. [`Publish`] packages the steps
-//! behind one builder and returns a [`Release`] carrying the published
-//! tables plus everything the run learned about itself: the partition
-//! (in-memory runs), the logical I/O bill (external runs), and a
-//! [`RunManifest`](anatomy_obs::RunManifest) with the phase tree and
+//! `anatomize_sharded` for the paged out-of-core variant — and every
+//! caller had to thread them together by hand. [`Publish`] packages the
+//! steps behind one builder and returns a [`Release`] carrying the
+//! published tables plus everything the run learned about itself: the
+//! partition (in-memory runs), the logical I/O bill (sharded runs), and
+//! a [`RunManifest`](anatomy_obs::RunManifest) with the phase tree and
 //! counters of exactly this run.
 //!
 //! ```
@@ -24,29 +24,28 @@
 //!
 //! The step-by-step free functions remain the documented lower-level
 //! API; the builder adds no behavior of its own beyond sequencing them
-//! and capturing the manifest.
+//! and capturing the manifest. Theorem 3's paged algorithm,
+//! `anatomy_core::anatomize_io::anatomize_external`, is one of them: it
+//! drives Figures 8–9 and places residues differently from the ladder,
+//! so it is called directly rather than offered as a builder engine.
 
 use crate::error::Error;
 use anatomy_audit::{audit_release, AuditReport};
-use anatomy_core::anatomize_io::{anatomize_external, recommended_pool};
 use anatomy_core::{
     anatomize, anatomize_sharded, AnatomizeConfig, AnatomizedTables, BucketStrategy, Partition,
     ShardConfig,
 };
 use anatomy_obs::{AuditSummary, RunManifest};
-use anatomy_storage::{IoCounter, IoStats, PageConfig};
+use anatomy_storage::{IoCounter, IoStats};
 use anatomy_tables::Microdata;
 
 /// Which anatomization engine a [`Publish`] run uses.
 ///
-/// All engines publish the same QIT/ST contract; they differ in memory
+/// Both engines publish the identical release; they differ in memory
 /// footprint, I/O accounting, and scale. Pick with [`Publish::engine`]:
 ///
 /// * [`Engine::InMemory`] — the linear-time frequency ladder of Figure 3.
 ///   The default; holds the whole relation and partition in memory.
-/// * [`Engine::External`] — the paged O(n/b)-I/O algorithm of Theorem 3
-///   with the given page geometry and the recommended 50-page-class
-///   buffer pool. Deterministic: `seed` and `strategy` do not apply.
 /// * [`Engine::Sharded`] — the out-of-core sharded pipeline for
 ///   10M–100M-tuple inputs: partitions by sensitive-value range, splits
 ///   buckets concurrently per shard, streams group formation with O(λ)
@@ -59,8 +58,6 @@ pub enum Engine {
     /// The in-memory frequency-ladder `Anatomize` (the default).
     #[default]
     InMemory,
-    /// The paged external algorithm of Theorem 3.
-    External(PageConfig),
     /// The sharded out-of-core pipeline.
     Sharded(ShardConfig),
 }
@@ -70,7 +67,6 @@ impl Engine {
     pub fn mode(&self) -> &'static str {
         match self {
             Engine::InMemory => "in_memory",
-            Engine::External(_) => "external",
             Engine::Sharded(_) => "sharded",
         }
     }
@@ -78,18 +74,18 @@ impl Engine {
 
 /// Everything a publish run produces.
 ///
-/// `tables` is always present — the external path decodes its QIT/ST
+/// `tables` is always present — the sharded path decodes its QIT/ST
 /// files back into validated [`AnatomizedTables`] so downstream code
 /// (adversary analysis, query estimation) never cares which path ran.
 #[derive(Debug, Clone)]
 pub struct Release {
     /// The published quasi-identifier table + sensitive table.
     pub tables: AnatomizedTables,
-    /// The group partition; `None` for external and sharded runs, which
-    /// never hold the full partition in memory.
+    /// The group partition; `None` for sharded runs, which never hold
+    /// the full partition in memory.
     pub partition: Option<Partition>,
-    /// Logical I/O charged by the external or sharded engine; `None` for
-    /// in-memory runs. Matches the manifest's `io` block exactly.
+    /// Logical I/O charged by the sharded engine; `None` for in-memory
+    /// runs. Matches the manifest's `io` block exactly.
     pub io: Option<IoStats>,
     /// Phase timings, counters, and parameters of this run, captured as
     /// a delta over the process-wide registry.
@@ -100,8 +96,7 @@ pub struct Release {
     pub audit: Option<AuditReport>,
     /// The diversity parameter the run enforced.
     pub l: usize,
-    /// The seed the run used (ignored by the deterministic external
-    /// path).
+    /// The seed the run used.
     pub seed: u64,
 }
 
@@ -252,14 +247,6 @@ impl<'a> Publish<'a> {
         let seed = self.config.seed;
 
         let (tables, partition, io) = match self.engine {
-            Engine::External(page_cfg) => {
-                let counter = IoCounter::observed(obs, "io.publish");
-                let pool = recommended_pool(self.md.sensitive_domain_size() as usize);
-                let out = anatomize_external(self.md, l, page_cfg, &pool, &counter)?;
-                let qi_schema = self.md.table().schema().project(self.md.qi_columns())?;
-                let tables = out.into_tables(qi_schema, l)?;
-                (tables, None, Some(out.stats))
-            }
             Engine::Sharded(shard_cfg) => {
                 let counter = IoCounter::observed(obs, "io.publish");
                 let out = anatomize_sharded(self.md, &self.config, &shard_cfg, &counter)?;
@@ -277,19 +264,15 @@ impl<'a> Publish<'a> {
         let mut manifest = RunManifest::capture_since(&self.name, obs, &before)
             .with_param("n", self.md.len() as u64)
             .with_param("l", l as u64)
-            .with_param("mode", self.engine.mode());
-        // The external algorithm is deterministic; every other engine's
-        // output depends on seed and strategy.
-        if !matches!(self.engine, Engine::External(_)) {
-            manifest.add_param("seed", seed);
-            manifest.add_param(
+            .with_param("mode", self.engine.mode())
+            .with_param("seed", seed)
+            .with_param(
                 "strategy",
                 match self.config.strategy {
                     BucketStrategy::LargestFirst => "largest_first",
                     BucketStrategy::RoundRobin => "round_robin",
                 },
             );
-        }
         if let Engine::Sharded(shard_cfg) = self.engine {
             manifest.add_param("shards", shard_cfg.shards() as u64);
             manifest.add_param("page_budget", shard_cfg.budget() as u64);
@@ -336,6 +319,7 @@ impl<'a> Publish<'a> {
 mod tests {
     use super::*;
     use anatomy_audit::Stage;
+    use anatomy_storage::PageConfig;
     use anatomy_tables::{Attribute, Schema, TableBuilder};
 
     fn md(n: u32) -> Microdata {
@@ -405,40 +389,11 @@ mod tests {
     }
 
     #[test]
-    fn external_run_reports_io_and_tables() {
-        let md = md(400);
-        let release = Publish::new(&md)
-            .l(4)
-            .engine(Engine::External(PageConfig::with_page_size(64)))
-            .run()
-            .unwrap();
-        let stats = release.io.expect("external run must report I/O");
-        assert!(stats.total() > 0);
-        assert!(release.partition.is_none());
-        assert_eq!(release.tables.group_count(), md.len() / 4);
-        // The manifest's io block mirrors IoStats exactly (the Figure 8-9
-        // acceptance contract).
-        let json = release.manifest.to_json();
-        let v = anatomy_obs::Json::parse(&json).unwrap();
-        let io = v.get("io").expect("manifest io block");
-        assert_eq!(
-            io.get("page_reads").unwrap().as_u64(),
-            Some(stats.page_reads)
-        );
-        assert_eq!(
-            io.get("page_writes").unwrap().as_u64(),
-            Some(stats.page_writes)
-        );
-        assert_eq!(io.get("total").unwrap().as_u64(), Some(stats.total()));
-    }
-
-    #[test]
     fn audited_runs_attach_a_clean_report_and_manifest_block() {
         let md = md(280);
         // Every engine's output is certified by the one `anatomize` stage.
         for engine in [
             Engine::InMemory,
-            Engine::External(PageConfig::with_page_size(64)),
             Engine::Sharded(ShardConfig::new(PageConfig::with_page_size(64), 2, 6).unwrap()),
         ] {
             let release = Publish::new(&md).l(4).engine(engine).audit().run().unwrap();

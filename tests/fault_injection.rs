@@ -1,8 +1,9 @@
 //! Fault-injection matrix over the out-of-core publish paths (the
-//! external engine of Theorem 3 and the sharded pipeline).
+//! external engine of Theorem 3, called directly as Figures 8–9 do, and
+//! the sharded pipeline behind `Publish`).
 //!
 //! The hardening contract: under any scheduled physical fault — torn
-//! writes, flipped bits, ENOSPC, short reads — `Publish::run` must be
+//! writes, flipped bits, ENOSPC, short reads — an audited run must be
 //! *loud or harmless*. Loud means a typed error whose `source` chain
 //! bottoms out in a [`StorageError`] and renders cleanly through
 //! [`render_chain`]; harmless means the fault never reached the data
@@ -22,6 +23,7 @@
 //! edges are all exercised without hand-picking offsets.
 
 use anatomy::audit::names_for;
+use anatomy::core::anatomize_io::{anatomize_external, recommended_pool};
 use anatomy::prelude::*;
 use anatomy::storage::{FaultConfig, FaultScope, StorageError};
 use std::error::Error as StdError;
@@ -43,26 +45,52 @@ fn dataset(qi_cols: usize) -> Microdata {
     Microdata::with_leading_qi(b.finish(), qi_cols).unwrap()
 }
 
-/// One audited external run with tiny pages (many page boundaries).
-fn audited_external_run(md: &Microdata) -> Result<Release, anatomy::Error> {
-    Publish::new(md)
-        .l(4)
-        .engine(Engine::External(PageConfig::with_page_size(64)))
-        .audit()
-        .run()
+/// What an audited run published: its tables, I/O bill and audit report.
+#[derive(Debug)]
+struct AuditedRun {
+    tables: AnatomizedTables,
+    io: IoStats,
+    audit: AuditReport,
+}
+
+/// One external run with tiny pages (many page boundaries), decoded and
+/// audited the way `Publish::audit` audits a release.
+fn audited_external_run(md: &Microdata) -> Result<AuditedRun, anatomy::Error> {
+    let pool = recommended_pool(md.sensitive_domain_size() as usize);
+    let out = anatomize_external(
+        md,
+        4,
+        PageConfig::with_page_size(64),
+        &pool,
+        &IoCounter::new(),
+    )?;
+    let qi_schema = md.table().schema().project(md.qi_columns())?;
+    let tables = out.into_tables(qi_schema, 4)?;
+    let audit = audit_release(&tables, 4);
+    Ok(AuditedRun {
+        tables,
+        io: out.stats,
+        audit,
+    })
 }
 
 /// One audited sharded run with the same tiny pages: the out-of-core
 /// pipeline has seven distinct phases touching pages (partition, split,
 /// schedule, assign, residue, two merges), so the op sweep lands faults
-/// in each of them.
-fn audited_sharded_run(md: &Microdata) -> Result<Release, anatomy::Error> {
+/// in each of them. A failed audit is an `Err` without a storage cause,
+/// which `classify` rejects.
+fn audited_sharded_run(md: &Microdata) -> Result<AuditedRun, anatomy::Error> {
     let shard = ShardConfig::new(PageConfig::with_page_size(64), 2, 6).unwrap();
-    Publish::new(md)
+    let release = Publish::new(md)
         .l(4)
         .engine(Engine::Sharded(shard))
         .audit()
-        .run()
+        .run()?;
+    Ok(AuditedRun {
+        tables: release.tables,
+        io: release.io.expect("sharded runs bill I/O"),
+        audit: release.audit.expect("audited run carries a report"),
+    })
 }
 
 /// What a faulted run is allowed to do.
@@ -78,12 +106,10 @@ enum Outcome {
 /// clean release must have run *exactly* the invariants the registry
 /// lists for the `anatomize` stage — not a subset that happens to pass —
 /// and every one of them must hold.
-fn classify(result: Result<Release, anatomy::Error>, ctx: &str) -> Outcome {
+fn classify(result: Result<AuditedRun, anatomy::Error>, ctx: &str) -> Outcome {
     match result {
-        Ok(release) => {
-            let report = release
-                .audit
-                .unwrap_or_else(|| panic!("{ctx}: audited run returned no report"));
+        Ok(run) => {
+            let report = run.audit;
             assert!(
                 report.passed(),
                 "{ctx}: release published but failed its audit:\n{}",
@@ -155,7 +181,7 @@ fn fault_matrix_is_loud_or_harmless() {
         ),
     ];
 
-    type Runner = fn(&Microdata) -> Result<Release, anatomy::Error>;
+    type Runner = fn(&Microdata) -> Result<AuditedRun, anatomy::Error>;
     let engines: [(&str, Runner); 2] = [
         ("external", audited_external_run),
         ("sharded", audited_sharded_run),
@@ -189,7 +215,7 @@ fn fault_matrix_is_loud_or_harmless() {
 fn unfired_faults_leave_the_run_untouched() {
     let md = dataset(1);
     for run in [
-        audited_external_run as fn(&Microdata) -> Result<Release, anatomy::Error>,
+        audited_external_run as fn(&Microdata) -> Result<AuditedRun, anatomy::Error>,
         audited_sharded_run,
     ] {
         let baseline = run(&md).unwrap();

@@ -80,6 +80,11 @@ fn microdata(rows: &[(u32, u32)]) -> Microdata {
     Microdata::with_leading_qi(b.finish(), 1).unwrap()
 }
 
+/// The paged engine the I/O-bill tests publish through.
+fn sharded() -> Engine {
+    Engine::Sharded(ShardConfig::new(PageConfig::with_page_size(128), 2, 6).unwrap())
+}
+
 fn rows_strategy() -> impl Strategy<Value = Vec<(u32, u32)>> {
     proptest::collection::vec((0u32..QI_DOM, 0u32..S_DOM), 10..160)
 }
@@ -200,22 +205,19 @@ proptest! {
     }
 }
 
-/// The Figure 8–9 acceptance contract: an external run's manifest carries
-/// an `io` block equal to its `IoStats`, and — with the registry enabled —
-/// the mirrored `io.publish.*` counters agree with those exact values.
+/// The paged engines' acceptance contract: a sharded run's manifest
+/// carries an `io` block equal to its `IoStats`, and — with the registry
+/// enabled — the mirrored `io.publish.*` counters agree with those exact
+/// values.
 #[test]
-fn external_manifest_io_matches_iostats_exactly() {
+fn sharded_manifest_io_matches_iostats_exactly() {
     let rows: Vec<(u32, u32)> = (0..600).map(|i| (i % QI_DOM, i % S_DOM)).collect();
     let md = microdata(&rows);
 
     let _guard = REGISTRY_LOCK.lock().unwrap_or_else(|p| p.into_inner());
     let _state = Enabled::set(true);
-    let release = Publish::new(&md)
-        .l(4)
-        .engine(Engine::External(PageConfig::with_page_size(128)))
-        .run()
-        .unwrap();
-    let stats = release.io.expect("external run reports I/O");
+    let release = Publish::new(&md).l(4).engine(sharded()).run().unwrap();
+    let stats = release.io.expect("sharded run reports I/O");
     assert!(stats.total() > 0);
 
     let json = release.manifest.to_json();
@@ -243,9 +245,9 @@ fn external_manifest_io_matches_iostats_exactly() {
         Some(stats.page_writes)
     );
 
-    // The external phase tree is attributed under one root span.
+    // The sharded phase tree is attributed under one root span.
     let phases = release.manifest.phases();
-    assert!(phases.iter().any(|p| p.name == "anatomize_external"));
+    assert!(phases.iter().any(|p| p.name == "anatomize_sharded"));
 }
 
 /// With the registry disabled the manifest says so, records no counters —
@@ -258,11 +260,7 @@ fn disabled_registry_still_reports_exact_io() {
 
     let _guard = REGISTRY_LOCK.lock().unwrap_or_else(|p| p.into_inner());
     let _state = Enabled::set(false);
-    let release = Publish::new(&md)
-        .l(3)
-        .engine(Engine::External(PageConfig::with_page_size(128)))
-        .run()
-        .unwrap();
+    let release = Publish::new(&md).l(3).engine(sharded()).run().unwrap();
     let stats = release.io.unwrap();
 
     let json = release.manifest.to_json();
@@ -289,17 +287,13 @@ fn traced_publish_is_bit_identical_and_trace_validates() {
     let _guard = REGISTRY_LOCK.lock().unwrap_or_else(|p| p.into_inner());
     let _metrics = Enabled::set(false);
     let _tracing = Traced::set(false);
-    let plain = Publish::new(&md)
-        .l(4)
-        .engine(Engine::External(PageConfig::with_page_size(128)))
-        .run()
-        .unwrap();
+    let plain = Publish::new(&md).l(4).engine(sharded()).run().unwrap();
 
     for name in ["t.json", "t.jsonl"] {
         let path = dir.join(name).to_string_lossy().into_owned();
         let traced = Publish::new(&md)
             .l(4)
-            .engine(Engine::External(PageConfig::with_page_size(128)))
+            .engine(sharded())
             .trace(&path)
             .run()
             .unwrap();
@@ -322,7 +316,7 @@ fn traced_publish_is_bit_identical_and_trace_validates() {
         let v = obs::Json::parse(&json).unwrap();
         let latency = v.get("latency").expect("traced manifest has latency");
         assert!(
-            latency.get("anatomize_external").is_some(),
+            latency.get("anatomize_sharded").is_some(),
             "latency block lacks the root phase: {json}"
         );
     }
