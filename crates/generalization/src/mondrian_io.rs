@@ -96,13 +96,15 @@ pub fn mondrian_external(
         }));
     }
 
+    // One decoded row, reused by every scan below.
+    let mut rec: Vec<u32> = Vec::with_capacity(d + 1);
+
     // Root statistics pass: observed range of every attribute.
     let root_observed = {
-        let reader = SeqReader::open(&input, codec, pool, counter.clone())?;
+        let mut reader = SeqReader::open(&input, codec, pool, counter.clone())?;
         let mut lo = vec![u32::MAX; d];
         let mut hi = vec![0u32; d];
-        for rec in reader {
-            let rec = rec.map_err(GenError::Storage)?;
+        while reader.next_into(&mut rec)? {
             for i in 0..d {
                 lo[i] = lo[i].min(rec[i]);
                 hi[i] = hi[i].max(rec[i]);
@@ -160,10 +162,9 @@ pub fn mondrian_external(
                     continue;
                 }
                 let joint = {
-                    let reader = SeqReader::open(&task.file, codec, pool, counter.clone())?;
+                    let mut reader = SeqReader::open(&task.file, codec, pool, counter.clone())?;
                     let mut joint = vec![0u32; span * lambda];
-                    for rec in reader {
-                        let rec = rec.map_err(GenError::Storage)?;
+                    while reader.next_into(&mut rec)? {
                         let off = (rec[i] - range.lo) as usize;
                         joint[off * lambda + rec[d] as usize] += 1;
                     }
@@ -276,9 +277,8 @@ pub fn mondrian_external(
                     for f in child_files.iter_mut() {
                         writers.push(SeqWriter::open(f, codec, page, pool, counter.clone())?);
                     }
-                    let reader = SeqReader::open(&task.file, codec, pool, counter.clone())?;
-                    for rec in reader {
-                        let rec = rec.map_err(GenError::Storage)?;
+                    let mut reader = SeqReader::open(&task.file, codec, pool, counter.clone())?;
+                    while reader.next_into(&mut rec)? {
                         let v = rec[i];
                         let c = sides
                             .iter()
@@ -328,10 +328,9 @@ pub fn mondrian_external(
                     GenMethod::Taxonomy(t) => t.lca(task.observed[i].lo, task.observed[i].hi).range,
                 })
                 .collect();
-            let reader = SeqReader::open(&task.file, codec, pool, counter.clone())?;
+            let mut reader = SeqReader::open(&task.file, codec, pool, counter.clone())?;
             let mut out_rec = vec![0u32; 2 * d + 1];
-            for rec in reader {
-                let rec = rec.map_err(GenError::Storage)?;
+            while reader.next_into(&mut rec)? {
                 for i in 0..d {
                     out_rec[2 * i] = ranges[i].lo;
                     out_rec[2 * i + 1] = ranges[i].hi;

@@ -65,9 +65,9 @@ fn write_pass(
         for f in outputs.iter_mut() {
             writers.push(SeqWriter::open(f, codec, cfg, pool, counter.clone())?);
         }
-        let reader = SeqReader::open(input, codec, pool, counter.clone())?;
-        for rec in reader {
-            let rec = rec?;
+        let mut reader = SeqReader::open(input, codec, pool, counter.clone())?;
+        let mut rec = Vec::with_capacity(codec.arity());
+        while reader.next_into(&mut rec)? {
             let k = key(&rec);
             if k < lo || k >= hi {
                 return Err(StorageError::InvalidArgument(format!(

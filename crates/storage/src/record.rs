@@ -21,9 +21,10 @@ pub trait FixedCodec {
     /// Append the record's encoding (exactly `record_len` bytes) to `out`.
     fn encode(&self, record: &Self::Record, out: &mut Vec<u8>);
 
-    /// Decode one record from the front of `buf` (exactly `record_len`
-    /// bytes are consumed).
-    fn decode(&self, buf: &mut &[u8]) -> Result<Self::Record, StorageError>;
+    /// Decode one record from the front of `buf` into `out`, overwriting
+    /// it (exactly `record_len` bytes are consumed). Reusing one `out`
+    /// across calls keeps a scan free of per-record allocation.
+    fn decode_into(&self, buf: &mut &[u8], out: &mut Self::Record) -> Result<(), StorageError>;
 }
 
 /// Codec for rows of `arity` little-endian `u32` codes.
@@ -72,22 +73,23 @@ impl FixedCodec for U32RowCodec {
         }
     }
 
-    fn decode(&self, buf: &mut &[u8]) -> Result<Vec<u32>, StorageError> {
-        if buf.len() < self.record_len() {
+    fn decode_into(&self, buf: &mut &[u8], out: &mut Vec<u32>) -> Result<(), StorageError> {
+        let Some((bytes, rest)) = buf.split_at_checked(self.record_len()) else {
             return Err(StorageError::Decode(format!(
                 "need {} bytes for a {}-field row, have {}",
                 self.record_len(),
                 self.arity,
                 buf.len()
             )));
-        }
-        let mut row = Vec::with_capacity(self.arity);
-        for _ in 0..self.arity {
-            let (word, rest) = buf.split_at(4);
-            row.push(u32::from_le_bytes(word.try_into().expect("4-byte split")));
-            *buf = rest;
-        }
-        Ok(row)
+        };
+        out.clear();
+        out.extend(
+            bytes
+                .chunks_exact(4)
+                .map(|w| u32::from_le_bytes([w[0], w[1], w[2], w[3]])),
+        );
+        *buf = rest;
+        Ok(())
     }
 }
 
@@ -104,8 +106,12 @@ mod tests {
         assert_eq!(bytes.len(), 2 * codec.record_len());
 
         let mut cursor: &[u8] = &bytes;
-        assert_eq!(codec.decode(&mut cursor).unwrap(), vec![1, 2, 3]);
-        assert_eq!(codec.decode(&mut cursor).unwrap(), vec![4, 5, u32::MAX]);
+        // A stale, longer row is overwritten, not appended to.
+        let mut row = vec![9; 5];
+        codec.decode_into(&mut cursor, &mut row).unwrap();
+        assert_eq!(row, vec![1, 2, 3]);
+        codec.decode_into(&mut cursor, &mut row).unwrap();
+        assert_eq!(row, vec![4, 5, u32::MAX]);
         assert!(cursor.is_empty());
     }
 
@@ -121,9 +127,11 @@ mod tests {
         let bytes = [1u8, 2, 3]; // 3 bytes < 8
         let mut cursor: &[u8] = &bytes;
         assert!(matches!(
-            codec.decode(&mut cursor),
+            codec.decode_into(&mut cursor, &mut Vec::new()),
             Err(StorageError::Decode(_))
         ));
+        // Nothing is consumed on failure.
+        assert_eq!(cursor.len(), 3);
     }
 
     #[test]
