@@ -9,7 +9,7 @@ use crate::{
     CHECK_QIT_ST_STRUCTURE, CHECK_RCE_BOUND, CHECK_RESIDUE_PLACEMENT,
 };
 use anatomy_core::AnatomizedTables;
-use anatomy_query::{estimate_anatomy, CountQuery, InPredicate};
+use anatomy_query::estimate_anatomy_per_value;
 use std::collections::BTreeMap;
 
 /// Every stage must preserve the six core invariants.
@@ -248,25 +248,12 @@ fn check_estimator(tables: &AnatomizedTables, _l: usize) -> CheckOutcome {
     for r in tables.st_records() {
         *totals.entry(r.value.0).or_insert(0) += r.count as u64;
     }
-    let domain = totals.keys().next_back().map_or(1, |&v| v + 1);
-
-    for (&v, &total) in &totals {
-        let pred = match InPredicate::new(vec![v], domain) {
-            Ok(p) => p,
-            Err(e) => {
-                return CheckOutcome::fail(
-                    CHECK_ESTIMATOR_CONSISTENCY,
-                    format!("cannot build point predicate for value {v}: {e}"),
-                );
-            }
-        };
-        let query = CountQuery {
-            qi_preds: Vec::new(),
-            sens_pred: pred,
-        };
-        // With no QI predicate every group's fraction p_j is exactly 1,
-        // so the estimate must equal Σ_j c_j(v) with no estimation error.
-        let est = estimate_anatomy(tables, &query);
+    // With no QI predicate every group's fraction p_j is exactly 1, so
+    // each value's estimate must equal Σ_j c_j(v) with no estimation
+    // error. One pass answers every value, bit-identically to the scalar
+    // estimator with that value's point predicate.
+    let estimates = estimate_anatomy_per_value(tables, &[]);
+    for ((&v, &total), &(_, est)) in totals.iter().zip(&estimates) {
         if (est - total as f64).abs() > 1e-6 {
             return CheckOutcome::fail(
                 CHECK_ESTIMATOR_CONSISTENCY,

@@ -59,7 +59,7 @@ pub use batch::{estimate_anatomy_batch, evaluate_exact_batch};
 pub use bitmap::Bitmap;
 pub use container::{Container, ContainerKind, ContainerMix};
 pub use error::QueryError;
-pub use estimate_anatomy::estimate_anatomy;
+pub use estimate_anatomy::{estimate_anatomy, estimate_anatomy_per_value};
 pub use estimate_generalization::estimate_generalization;
 pub use exact::evaluate_exact;
 pub use index::{estimate_anatomy_indexed, evaluate_exact_indexed, QueryIndex};
