@@ -11,6 +11,7 @@
 use crate::error::CoreError;
 use crate::partition::GroupId;
 use crate::published::{AnatomizedTables, StRecord};
+use anatomy_tables::csv::scan_codes;
 use anatomy_tables::{Schema, TableBuilder, TablesError, Value};
 
 /// Serialize the QIT as CSV: QI attribute names + `Group-ID` header, value
@@ -136,36 +137,41 @@ pub fn parse_release_parts(
     }
     let mut builder = TableBuilder::new(qi_schema);
     let mut group_ids: Vec<GroupId> = Vec::new();
-    let mut codes = vec![0u32; d];
+    // QI codes then the group id; lines the byte scanner declines take
+    // the `str` path, which owns every syntax error.
+    let mut row = vec![0u32; d + 1];
     for (idx, line) in lines.enumerate() {
         let line_no = idx + 2;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let mut fields = line.split(',');
-        for slot in codes.iter_mut() {
-            let f = fields
+        if !scan_codes(line.as_bytes(), &mut row) {
+            if line.trim().is_empty() {
+                continue;
+            }
+            let mut fields = line.split(',');
+            for slot in row[..d].iter_mut() {
+                let f = fields
+                    .next()
+                    .ok_or_else(|| csv_err(line_no, "too few QIT fields"))?;
+                *slot = f
+                    .trim()
+                    .parse()
+                    .map_err(|_| csv_err(line_no, format!("bad code `{f}`")))?;
+            }
+            row[d] = fields
                 .next()
-                .ok_or_else(|| csv_err(line_no, "too few QIT fields"))?;
-            *slot = f
+                .ok_or_else(|| csv_err(line_no, "missing Group-ID"))?
                 .trim()
                 .parse()
-                .map_err(|_| csv_err(line_no, format!("bad code `{f}`")))?;
+                .map_err(|_| csv_err(line_no, "bad Group-ID"))?;
+            if fields.next().is_some() {
+                return Err(csv_err(line_no, "too many QIT fields"));
+            }
         }
-        let g: u32 = fields
-            .next()
-            .ok_or_else(|| csv_err(line_no, "missing Group-ID"))?
-            .trim()
-            .parse()
-            .map_err(|_| csv_err(line_no, "bad Group-ID"))?;
-        if fields.next().is_some() {
-            return Err(csv_err(line_no, "too many QIT fields"));
-        }
+        let (codes, g) = (&row[..d], row[d]);
         if g == 0 {
             return Err(csv_err(line_no, "Group-ID must be 1-based"));
         }
         builder
-            .push_row(&codes)
+            .push_row(codes)
             .map_err(|e| csv_err(line_no, e.to_string()))?;
         group_ids.push(g - 1);
     }
@@ -183,30 +189,38 @@ pub fn parse_release_parts(
             format!("ST header `{header}` != Group-ID,As,Count"),
         ));
     }
+    let mut rec = [0u32; 3];
     for (idx, line) in lines.enumerate() {
         let line_no = idx + 2;
-        if line.trim().is_empty() {
-            continue;
+        if !scan_codes(line.as_bytes(), &mut rec) {
+            if line.trim().is_empty() {
+                continue;
+            }
+            let fields: Vec<&str> = line.split(',').collect();
+            if fields.len() != 3 {
+                return Err(csv_err(line_no, "ST records have exactly 3 fields"));
+            }
+            let g: u32 = fields[0]
+                .trim()
+                .parse()
+                .map_err(|_| csv_err(line_no, "bad Group-ID"))?;
+            if g == 0 {
+                return Err(csv_err(line_no, "Group-ID must be 1-based"));
+            }
+            let v: u32 = fields[1]
+                .trim()
+                .parse()
+                .map_err(|_| csv_err(line_no, "bad sensitive code"))?;
+            let c: u32 = fields[2]
+                .trim()
+                .parse()
+                .map_err(|_| csv_err(line_no, "bad count"))?;
+            rec = [g, v, c];
         }
-        let fields: Vec<&str> = line.split(',').collect();
-        if fields.len() != 3 {
-            return Err(csv_err(line_no, "ST records have exactly 3 fields"));
-        }
-        let g: u32 = fields[0]
-            .trim()
-            .parse()
-            .map_err(|_| csv_err(line_no, "bad Group-ID"))?;
+        let [g, v, c] = rec;
         if g == 0 {
             return Err(csv_err(line_no, "Group-ID must be 1-based"));
         }
-        let v: u32 = fields[1]
-            .trim()
-            .parse()
-            .map_err(|_| csv_err(line_no, "bad sensitive code"))?;
-        let c: u32 = fields[2]
-            .trim()
-            .parse()
-            .map_err(|_| csv_err(line_no, "bad count"))?;
         st.push(StRecord {
             group: g - 1,
             value: Value(v),
