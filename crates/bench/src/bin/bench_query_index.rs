@@ -272,7 +272,7 @@ fn run_row(n: usize, queries: usize, seed: u64) -> BenchResult<String> {
     let mix = v2.container_mix();
     eprintln!(
         "# [n = {n}] index memory: v1 {v1_bytes} B, v2 {} B ({} array / {} bitmap / {} run containers)",
-        mix.container_bytes(),
+        v2.memory_bytes(),
         mix.arrays,
         mix.bitmaps,
         mix.runs
@@ -334,7 +334,7 @@ fn run_row(n: usize, queries: usize, seed: u64) -> BenchResult<String> {
       "answers_identical": true
     }}"#,
         groups = v2.group_count(),
-        v2_bytes = mix.container_bytes(),
+        v2_bytes = v2.memory_bytes(),
         na = mix.arrays,
         ba = mix.array_bytes,
         nb = mix.bitmaps,
