@@ -1,7 +1,7 @@
 //! # anatomy-bench
 //!
 //! The reproduction harness for every table and figure of the Anatomy
-//! paper, plus shared machinery for the Criterion micro-benchmarks.
+//! paper, plus shared machinery for the `bench_*` measurement binaries.
 //!
 //! The `repro` binary exposes one subcommand per experiment
 //! (`repro fig4`, `repro table3`, `repro all`, ...). Each figure module

@@ -47,6 +47,8 @@ pub fn parse(text: &str) -> CliResult<Schema> {
                 "schema line {line_no}: domain size must be positive"
             )));
         }
+        Schema::check_name(parts[0])
+            .map_err(|e| Error::msg(format!("schema line {line_no}: {e}")))?;
         attrs.push(Attribute::new(parts[0], kind, domain));
     }
     if attrs.is_empty() {
@@ -97,5 +99,13 @@ mod tests {
         assert!(parse("Age:numerical:0\n").is_err());
         assert!(parse("\n# only comments\n").is_err());
         assert!(parse("A:num:3\nA:num:4\n").is_err()); // duplicate name
+    }
+
+    #[test]
+    fn names_a_csv_header_cannot_carry_name_their_line() {
+        let err = parse("# header\nAge:num:100\nAge,years:num:5\n").unwrap_err();
+        let text = err.to_string();
+        assert!(text.contains("schema line 3"), "{text}");
+        assert!(text.contains("\"Age,years\""), "{text}");
     }
 }

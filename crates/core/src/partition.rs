@@ -116,17 +116,22 @@ impl Partition {
     /// Validate l-diversity, returning a descriptive error naming the first
     /// offending group.
     pub fn check_l_diverse(&self, md: &Microdata, l: usize) -> Result<(), CoreError> {
-        for j in 0..self.group_count() as GroupId {
-            let hist = self.sensitive_histogram(md, j);
-            if !group_is_l_diverse(&hist, l) {
-                let (v, c) = hist.max().expect("non-diverse group is non-empty");
-                return Err(CoreError::InvalidPartition(format!(
-                    "group {j} is not {l}-diverse: value {v} occurs {c} times in {} tuples",
-                    hist.total()
-                )));
-            }
+        match (0..self.group_count() as GroupId)
+            .find(|&j| !group_is_l_diverse(&self.sensitive_histogram(md, j), l))
+        {
+            Some(j) => Err(self.not_l_diverse(md, j, l)),
+            None => Ok(()),
         }
-        Ok(())
+    }
+
+    /// The error naming group `j`, which fails Definition 2 for `l`.
+    pub(crate) fn not_l_diverse(&self, md: &Microdata, j: GroupId, l: usize) -> CoreError {
+        let hist = self.sensitive_histogram(md, j);
+        let (v, c) = hist.max().expect("non-diverse group is non-empty");
+        CoreError::InvalidPartition(format!(
+            "group {j} is not {l}-diverse: value {v} occurs {c} times in {} tuples",
+            hist.total()
+        ))
     }
 }
 

@@ -78,8 +78,7 @@ impl AnatomizedTables {
                 md.len()
             )));
         }
-        partition.check_l_diverse(md, l)?;
-        Self::publish_unchecked(md, partition, l)
+        Self::tabulate(md, partition, l, Some(l))
     }
 
     /// Like [`AnatomizedTables::publish`], but validating an arbitrary
@@ -122,23 +121,58 @@ impl AnatomizedTables {
         partition: &Partition,
         l: usize,
     ) -> Result<Self, CoreError> {
+        Self::tabulate(md, partition, l, None)
+    }
+
+    /// The one pass behind every `publish`: count each group's sensitive
+    /// values in one reused array, check Definition 2 for `check` if
+    /// given, emit the touched values' ST records in ascending order and
+    /// reset only those counts. A group of g tuples costs O(g log g),
+    /// whatever λ is. The first group that fails the check is reported
+    /// with [`Partition::check_l_diverse`]'s message.
+    fn tabulate(
+        md: &Microdata,
+        partition: &Partition,
+        l: usize,
+        check: Option<usize>,
+    ) -> Result<Self, CoreError> {
         let qit = md.table().project(md.qi_columns())?;
         let group_ids = partition.group_ids().to_vec();
         let m = partition.group_count();
-        let group_sizes: Vec<u32> = partition.group_sizes().iter().map(|&s| s as u32).collect();
+        let group_sizes: Vec<u32> = partition.groups().iter().map(|g| g.len() as u32).collect();
 
-        let mut st = Vec::new();
+        let sensitive = md.sensitive_codes();
+        let mut counts = vec![0u32; md.sensitive_domain_size() as usize];
+        let mut touched: Vec<u32> = Vec::new();
+        // A tuple adds at most one record, so n bounds the ST.
+        let mut st = Vec::with_capacity(md.len());
         let mut st_offsets = Vec::with_capacity(m + 1);
         st_offsets.push(0);
-        for j in 0..m as GroupId {
-            let hist = partition.sensitive_histogram(md, j);
-            for (value, count) in hist.nonzero() {
+        for (j, rows) in partition.groups().iter().enumerate() {
+            let j = j as GroupId;
+            for &r in rows {
+                let v = sensitive[r as usize];
+                let count = &mut counts[v as usize];
+                if *count == 0 {
+                    touched.push(v);
+                }
+                *count += 1;
+            }
+            touched.sort_unstable();
+            if let Some(l) = check {
+                let max = touched.iter().map(|&v| counts[v as usize]).max();
+                if max.is_some_and(|c| (c as usize).saturating_mul(l) > rows.len()) {
+                    return Err(partition.not_l_diverse(md, j, l));
+                }
+            }
+            for &v in &touched {
                 st.push(StRecord {
                     group: j,
-                    value,
-                    count: count as u32,
+                    value: Value(v),
+                    count: std::mem::take(&mut counts[v as usize]),
                 });
             }
+            touched.clear();
             st_offsets.push(st.len());
         }
         Ok(AnatomizedTables {
@@ -502,6 +536,82 @@ mod tests {
         ));
         // publish_unchecked accepts it regardless.
         assert!(AnatomizedTables::publish_unchecked(&md, &bad, 2).is_ok());
+    }
+
+    /// `publish` as it was before the one-pass table: `check_l_diverse`,
+    /// then one λ-sized histogram per group for the ST.
+    fn publish_by_histograms(
+        md: &Microdata,
+        partition: &Partition,
+        l: Option<usize>,
+    ) -> Result<AnatomizedTables, CoreError> {
+        if let Some(l) = l {
+            partition.check_l_diverse(md, l)?;
+        }
+        let mut st = Vec::new();
+        let mut st_offsets = vec![0];
+        for j in 0..partition.group_count() as GroupId {
+            for (value, count) in partition.sensitive_histogram(md, j).nonzero() {
+                st.push(StRecord {
+                    group: j,
+                    value,
+                    count: count as u32,
+                });
+            }
+            st_offsets.push(st.len());
+        }
+        Ok(AnatomizedTables {
+            qit: md.table().project(md.qi_columns())?,
+            group_ids: partition.group_ids().to_vec(),
+            group_sizes: partition.group_sizes().iter().map(|&s| s as u32).collect(),
+            st,
+            st_offsets,
+            l: l.unwrap_or(2),
+        })
+    }
+
+    #[test]
+    fn one_pass_publish_matches_per_group_histograms() {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(18);
+        for case in 0..300 {
+            let lambda = [2u32, 7, 50][case % 3];
+            let n = rng.random_range(1..120usize);
+            let m = rng.random_range(1..n.min(12) + 1);
+            let schema = Schema::new(vec![
+                Attribute::numerical("Q", 10),
+                Attribute::categorical("S", lambda),
+            ])
+            .unwrap();
+            let mut b = TableBuilder::new(schema);
+            for r in 0..n as u32 {
+                b.push_row(&[r % 10, rng.random_range(0..lambda)]).unwrap();
+            }
+            let md = Microdata::with_leading_qi(b.finish(), 1).unwrap();
+            // Every group non-empty: the first m rows seed the groups.
+            let mut groups = vec![Vec::new(); m];
+            for r in 0..n as u32 {
+                let g = if (r as usize) < m {
+                    r as usize
+                } else {
+                    rng.random_range(0..m)
+                };
+                groups[g].push(r);
+            }
+            let partition = Partition::new(groups, n).unwrap();
+            for l in 2..5 {
+                let fast = AnatomizedTables::publish(&md, &partition, l).map_err(|e| e.to_string());
+                let oracle =
+                    publish_by_histograms(&md, &partition, Some(l)).map_err(|e| e.to_string());
+                assert_eq!(fast, oracle, "case {case} l {l}");
+            }
+            assert_eq!(
+                AnatomizedTables::publish_unchecked(&md, &partition, 2).unwrap(),
+                publish_by_histograms(&md, &partition, None).unwrap(),
+                "case {case}"
+            );
+        }
     }
 
     #[test]

@@ -11,14 +11,19 @@
 use crate::error::CoreError;
 use crate::partition::GroupId;
 use crate::published::{AnatomizedTables, StRecord};
-use anatomy_tables::csv::scan_codes;
+use anatomy_tables::codec::{self, digits, Scan};
 use anatomy_tables::{Schema, TableBuilder, TablesError, Value};
 
 /// Serialize the QIT as CSV: QI attribute names + `Group-ID` header, value
 /// codes per row, 1-based group ids.
 pub fn qit_to_csv(tables: &AnatomizedTables) -> String {
     let schema = tables.qi_table().schema();
-    let columns: Vec<&[u32]> = (0..tables.qi_count()).map(|i| tables.qi_codes(i)).collect();
+    let columns: Vec<(&[u32], codec::CodeText)> = (0..tables.qi_count())
+        .map(|i| {
+            let text = codec::CodeText::new(tables.qi_domain_size(i), b',');
+            (tables.qi_codes(i), text)
+        })
+        .collect();
     // Codes sit below their domain sizes and 1-based ids at most at the
     // group count, which bounds every row's width.
     let row_bytes: usize = schema
@@ -28,18 +33,17 @@ pub fn qit_to_csv(tables: &AnatomizedTables) -> String {
         .sum::<usize>()
         + digits(tables.group_count() as u32)
         + 1;
+    let groups = codec::CodeText::new(group_id_domain(tables), b'\n');
     let header = schema.names().join(",") + ",Group-ID\n";
-    let mut out = String::with_capacity(header.len() + tables.len() * row_bytes);
-    out.push_str(&header);
+    let mut out = codec::Writer::with_capacity(header.len() + tables.len() * row_bytes);
+    out.str(&header);
     for (r, &g) in tables.group_ids().iter().enumerate() {
-        for column in &columns {
-            push_u32(&mut out, column[r]);
-            out.push(',');
+        for (column, text) in &columns {
+            out.code(text, column[r]);
         }
-        push_u32(&mut out, g + 1);
-        out.push('\n');
+        out.code(&groups, g + 1);
     }
-    out
+    out.into_string()
 }
 
 /// Serialize the ST as CSV: `Group-ID,As,Count`, 1-based group ids.
@@ -50,39 +54,24 @@ pub fn st_to_csv(tables: &AnatomizedTables) -> String {
         .fold((0, 0), |(v, c), r| (r.value.code().max(v), r.count.max(c)));
     let row_bytes = digits(tables.group_count() as u32) + digits(max_value) + digits(max_count) + 3;
     let header = "Group-ID,As,Count\n";
-    let mut out = String::with_capacity(header.len() + st.len() * row_bytes);
-    out.push_str(header);
+    let groups = codec::CodeText::new(group_id_domain(tables), b',');
+    let values = codec::CodeText::new(max_value.saturating_add(1), b',');
+    let counts = codec::CodeText::new(max_count.saturating_add(1), b'\n');
+    let mut out = codec::Writer::with_capacity(header.len() + st.len() * row_bytes);
+    out.str(header);
     for rec in st {
-        push_u32(&mut out, rec.group + 1);
-        out.push(',');
-        push_u32(&mut out, rec.value.code());
-        out.push(',');
-        push_u32(&mut out, rec.count);
-        out.push('\n');
+        out.code(&groups, rec.group + 1);
+        out.code(&values, rec.value.code());
+        out.code(&counts, rec.count);
     }
-    out
+    out.into_string()
 }
 
-/// Decimal digits in `v`.
-fn digits(v: u32) -> usize {
-    v.checked_ilog10().map_or(1, |d| d as usize + 1)
-}
-
-/// Append `v` in decimal. Writing the digits into a stack buffer skips
-/// the `fmt` machinery, which dominates the cost of a release's
-/// millions of small integers.
-fn push_u32(out: &mut String, mut v: u32) {
-    let mut buf = [0u8; 10];
-    let mut i = buf.len();
-    loop {
-        i -= 1;
-        buf[i] = b'0' + (v % 10) as u8;
-        v /= 10;
-        if v == 0 {
-            break;
-        }
-    }
-    out.push_str(std::str::from_utf8(&buf[i..]).expect("decimal digits are ASCII"));
+/// The codes a release's 1-based group ids fall below.
+fn group_id_domain(tables: &AnatomizedTables) -> u32 {
+    u32::try_from(tables.group_count())
+        .unwrap_or(u32::MAX)
+        .saturating_add(1)
 }
 
 fn csv_err(line: usize, message: impl Into<String>) -> CoreError {
@@ -126,10 +115,13 @@ pub fn parse_release_parts(
     let d = qi_schema.width();
 
     // ---- QIT ----
-    let mut lines = qit_csv.lines();
-    let header = lines
-        .next()
-        .ok_or_else(|| csv_err(1, "missing QIT header"))?;
+    // Rows are scanned in place; lines the scanner declines are cut as
+    // `str::lines` cuts them and take the `str` path, which owns every
+    // syntax error.
+    if qit_csv.is_empty() {
+        return Err(csv_err(1, "missing QIT header"));
+    }
+    let (header, mut at) = codec::line_at(qit_csv, 0);
     let expected: Vec<&str> = qi_schema.names().into_iter().chain(["Group-ID"]).collect();
     let got: Vec<&str> = header.split(',').collect();
     if got != expected {
@@ -137,12 +129,16 @@ pub fn parse_release_parts(
     }
     let mut builder = TableBuilder::new(qi_schema);
     let mut group_ids: Vec<GroupId> = Vec::new();
-    // QI codes then the group id; lines the byte scanner declines take
-    // the `str` path, which owns every syntax error.
+    // QI codes then the group id.
     let mut row = vec![0u32; d + 1];
-    for (idx, line) in lines.enumerate() {
-        let line_no = idx + 2;
-        if !scan_codes(line.as_bytes(), &mut row) {
+    let mut line_no = 1;
+    while at < qit_csv.len() {
+        line_no += 1;
+        if let Scan::Row(len) = codec::scan_row(&qit_csv.as_bytes()[at..], true, &mut row) {
+            at += len;
+        } else {
+            let (line, next) = codec::line_at(qit_csv, at);
+            at = next;
             if line.trim().is_empty() {
                 continue;
             }
@@ -179,10 +175,10 @@ pub fn parse_release_parts(
 
     // ---- ST ----
     let mut st: Vec<StRecord> = Vec::new();
-    let mut lines = st_csv.lines();
-    let header = lines
-        .next()
-        .ok_or_else(|| csv_err(1, "missing ST header"))?;
+    if st_csv.is_empty() {
+        return Err(csv_err(1, "missing ST header"));
+    }
+    let (header, mut at) = codec::line_at(st_csv, 0);
     if header.split(',').collect::<Vec<_>>() != ["Group-ID", "As", "Count"] {
         return Err(csv_err(
             1,
@@ -190,9 +186,14 @@ pub fn parse_release_parts(
         ));
     }
     let mut rec = [0u32; 3];
-    for (idx, line) in lines.enumerate() {
-        let line_no = idx + 2;
-        if !scan_codes(line.as_bytes(), &mut rec) {
+    let mut line_no = 1;
+    while at < st_csv.len() {
+        line_no += 1;
+        if let Scan::Row(len) = codec::scan_row(&st_csv.as_bytes()[at..], true, &mut rec) {
+            at += len;
+        } else {
+            let (line, next) = codec::line_at(st_csv, at);
+            at = next;
             if line.trim().is_empty() {
                 continue;
             }
@@ -322,8 +323,9 @@ mod tests {
     fn decimal_writer_matches_display() {
         let edges = (0..10).flat_map(|d| [10u32.pow(d) - 1, 10u32.pow(d)]);
         for v in edges.chain([u32::MAX - 1, u32::MAX]) {
-            let mut out = String::new();
-            push_u32(&mut out, v);
+            let mut out = codec::Writer::default();
+            out.u32(v);
+            let out = out.into_string();
             assert_eq!(out, v.to_string());
             assert_eq!(digits(v), out.len());
         }
@@ -392,6 +394,218 @@ mod tests {
         assert!(parse_release(schema, &qit_csv, "Bad,Header,Here\n", 3).is_err());
     }
 
+    /// `parse_release_parts` as it was before the byte scanner:
+    /// `str::lines` and the `str` path on every line. The oracle of the
+    /// reader property below.
+    #[allow(clippy::type_complexity)]
+    fn parse_release_parts_by_str(
+        qi_schema: Schema,
+        qit_csv: &str,
+        st_csv: &str,
+    ) -> Result<(anatomy_tables::Table, Vec<GroupId>, Vec<StRecord>), CoreError> {
+        let d = qi_schema.width();
+        let mut lines = qit_csv.lines();
+        let header = lines
+            .next()
+            .ok_or_else(|| csv_err(1, "missing QIT header"))?;
+        let expected: Vec<&str> = qi_schema.names().into_iter().chain(["Group-ID"]).collect();
+        let got: Vec<&str> = header.split(',').collect();
+        if got != expected {
+            return Err(csv_err(1, format!("QIT header {got:?} != {expected:?}")));
+        }
+        let mut builder = TableBuilder::new(qi_schema);
+        let mut group_ids = Vec::new();
+        let mut row = vec![0u32; d];
+        for (idx, line) in lines.enumerate() {
+            let line_no = idx + 2;
+            if line.trim().is_empty() {
+                continue;
+            }
+            let mut fields = line.split(',');
+            for slot in row.iter_mut() {
+                let f = fields
+                    .next()
+                    .ok_or_else(|| csv_err(line_no, "too few QIT fields"))?;
+                *slot = f
+                    .trim()
+                    .parse()
+                    .map_err(|_| csv_err(line_no, format!("bad code `{f}`")))?;
+            }
+            let g: u32 = fields
+                .next()
+                .ok_or_else(|| csv_err(line_no, "missing Group-ID"))?
+                .trim()
+                .parse()
+                .map_err(|_| csv_err(line_no, "bad Group-ID"))?;
+            if fields.next().is_some() {
+                return Err(csv_err(line_no, "too many QIT fields"));
+            }
+            if g == 0 {
+                return Err(csv_err(line_no, "Group-ID must be 1-based"));
+            }
+            builder
+                .push_row(&row)
+                .map_err(|e| csv_err(line_no, e.to_string()))?;
+            group_ids.push(g - 1);
+        }
+        let mut st = Vec::new();
+        let mut lines = st_csv.lines();
+        let header = lines
+            .next()
+            .ok_or_else(|| csv_err(1, "missing ST header"))?;
+        if header.split(',').collect::<Vec<_>>() != ["Group-ID", "As", "Count"] {
+            return Err(csv_err(
+                1,
+                format!("ST header `{header}` != Group-ID,As,Count"),
+            ));
+        }
+        for (idx, line) in lines.enumerate() {
+            let line_no = idx + 2;
+            if line.trim().is_empty() {
+                continue;
+            }
+            let fields: Vec<&str> = line.split(',').collect();
+            if fields.len() != 3 {
+                return Err(csv_err(line_no, "ST records have exactly 3 fields"));
+            }
+            let g: u32 = fields[0]
+                .trim()
+                .parse()
+                .map_err(|_| csv_err(line_no, "bad Group-ID"))?;
+            if g == 0 {
+                return Err(csv_err(line_no, "Group-ID must be 1-based"));
+            }
+            let v: u32 = fields[1]
+                .trim()
+                .parse()
+                .map_err(|_| csv_err(line_no, "bad sensitive code"))?;
+            let c: u32 = fields[2]
+                .trim()
+                .parse()
+                .map_err(|_| csv_err(line_no, "bad count"))?;
+            st.push(StRecord {
+                group: g - 1,
+                value: Value(v),
+                count: c,
+            });
+        }
+        Ok((builder.finish(), group_ids, st))
+    }
+
+    /// Domain sizes at every digit boundary the writer crosses.
+    const DOMAINS: &[u32] = &[1, 9, 10, 11, 99, 100, 101, 65_535, 65_536, 65_537, u32::MAX];
+    /// Group sizes whose two equal ST counts cross digit boundaries.
+    const GROUP_SIZES: &[u32] = &[2, 2, 2, 18, 20, 22, 198, 200, 202];
+
+    /// Codes at every digit boundary of a `u32`.
+    fn boundary_codes() -> Vec<u32> {
+        let mut codes = vec![u32::MAX - 1, u32::MAX];
+        for d in 0..10 {
+            let p = 10u32.pow(d);
+            codes.extend([p - 1, p, p + 1]);
+        }
+        codes
+    }
+
+    /// A 2-diverse release over a random QI schema with domains from
+    /// [`DOMAINS`]: boundary codes in the QIT, and per group two sensitive
+    /// values up to `u32::MAX` with equal counts.
+    fn boundary_release(seed: u64) -> AnatomizedTables {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let width = rng.random_range(1..5usize);
+        let attrs = (0..width)
+            .map(|c| {
+                Attribute::numerical(format!("Q{c}"), DOMAINS[rng.random_range(0..DOMAINS.len())])
+            })
+            .collect();
+        let schema = Schema::new(attrs).unwrap();
+        let boundary = boundary_codes();
+        let pick = |rng: &mut StdRng, below: u32| {
+            let code = boundary[rng.random_range(0..boundary.len())];
+            if code < below && rng.random_range(0..4u8) > 0 {
+                code
+            } else {
+                rng.random_range(0..below)
+            }
+        };
+        let mut b = TableBuilder::new(schema.clone());
+        let (mut gids, mut st) = (Vec::new(), Vec::new());
+        for j in 0..rng.random_range(1..30u32) {
+            let size = GROUP_SIZES[rng.random_range(0..GROUP_SIZES.len())];
+            for _ in 0..size {
+                let row: Vec<u32> = schema
+                    .attributes()
+                    .iter()
+                    .map(|a| pick(&mut rng, a.domain_size()))
+                    .collect();
+                b.push_row(&row).unwrap();
+                gids.push(j);
+            }
+            let low = pick(&mut rng, u32::MAX);
+            let high = low + 1 + pick(&mut rng, u32::MAX - low);
+            for value in [low, high] {
+                st.push(StRecord {
+                    group: j,
+                    value: Value(value),
+                    count: size / 2,
+                });
+            }
+        }
+        AnatomizedTables::from_parts(b.finish(), gids, st, 2).unwrap()
+    }
+
+    #[test]
+    fn release_text_matches_a_format_oracle() {
+        for seed in 0..64 {
+            let tables = boundary_release(seed);
+            let schema = tables.qi_table().schema();
+            let mut qit = schema.names().join(",") + ",Group-ID\n";
+            for (r, g) in tables.group_ids().iter().enumerate() {
+                for c in 0..tables.qi_count() {
+                    qit += &format!("{},", tables.qi_codes(c)[r]);
+                }
+                qit += &format!("{}\n", g + 1);
+            }
+            assert_eq!(qit_to_csv(&tables), qit, "seed {seed}");
+            let mut st = "Group-ID,As,Count\n".to_string();
+            for r in tables.st_records() {
+                st += &format!("{},{},{}\n", r.group + 1, r.value.code(), r.count);
+            }
+            assert_eq!(st_to_csv(&tables), st, "seed {seed}");
+            let back = parse_release(schema.clone(), &qit, &st, 2).unwrap();
+            assert_eq!(back, tables, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn accepted_names_round_trip_through_the_release() {
+        for name in ["", " Age", "Âge", "a b", "A|B;C=D", "\u{a0}x", "Group-ID"] {
+            let schema = Schema::new(vec![
+                Attribute::numerical(name, 100),
+                Attribute::numerical("Q", 3),
+            ])
+            .unwrap();
+            let mut b = TableBuilder::new(schema.clone());
+            for r in 0..4u32 {
+                b.push_row(&[r * 30, r % 3]).unwrap();
+            }
+            let st = (0..4)
+                .map(|r| StRecord {
+                    group: r / 2,
+                    value: Value(r % 2),
+                    count: 1,
+                })
+                .collect();
+            let tables = AnatomizedTables::from_parts(b.finish(), vec![0, 0, 1, 1], st, 2).unwrap();
+            let back = parse_release(schema, &qit_to_csv(&tables), &st_to_csv(&tables), 2);
+            assert_eq!(back.unwrap(), tables, "{name:?}");
+        }
+        // A name that broke the files' own readers is now refused up front.
+        assert!(Schema::new(vec![Attribute::numerical("Age,years", 100)]).is_err());
+    }
+
     mod properties {
         use super::*;
         use proptest::prelude::*;
@@ -428,5 +642,72 @@ mod tests {
                 }
             }
         }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+            /// On QIT and ST bodies mixing plain rows with blank lines,
+            /// CRLF, signs, spaces, tabs, letters, `\u{a0}`, overlong and
+            /// out-of-domain codes, Group-ID 0 and wrong field counts,
+            /// `parse_release_parts` returns what the `str` oracle returns:
+            /// the same parts, or the same error text and line number.
+            #[test]
+            fn parse_release_parts_agrees_with_the_str_path(
+                qit_lines in proptest::collection::vec((0usize..9, 0..FIELD.len(), 0u32..200), 0..10),
+                st_lines in proptest::collection::vec((0usize..9, 0..FIELD.len(), 0u32..200), 0..10),
+                ends in (0u8..3, 0u8..3),
+            ) {
+                let schema = Schema::new(vec![
+                    Attribute::numerical("A", 100),
+                    Attribute::numerical("B", u32::MAX),
+                ]).unwrap();
+                let body = |header: &str, lines: &[(usize, usize, u32)], end: u8| {
+                    let mut text = header.to_string();
+                    for (i, &(kind, f, v)) in lines.iter().enumerate() {
+                        let field = FIELD[f];
+                        text += &match kind {
+                            0 | 1 => format!("{},{},{}", v % 100, u32::MAX - 1 - v, v / 7 + 1),
+                            2 => format!("{field},{v},{}", v % 3 + 1),
+                            3 => format!("{},{field},1", v % 100),
+                            4 => format!("{},{v},{field}", v % 100),
+                            5 => format!("{v},{v},0"),
+                            6 => format!("{v},{v}"),
+                            7 => format!("{v},{v},1,{field}"),
+                            _ => field.to_string(),
+                        };
+                        if !(i + 1 == lines.len() && end == 2) {
+                            text += if end == 1 { "\r\n" } else { "\n" };
+                        }
+                    }
+                    text
+                };
+                let qit = body("A,B,Group-ID\n", &qit_lines, ends.0);
+                let st = body("Group-ID,As,Count\r\n", &st_lines, ends.1);
+                let fast = parse_release_parts(schema.clone(), &qit, &st).map_err(|e| e.to_string());
+                let by_str = parse_release_parts_by_str(schema, &qit, &st).map_err(|e| e.to_string());
+                prop_assert_eq!(fast, by_str, "qit {:?} st {:?}", qit, st);
+            }
+        }
     }
+
+    // Fields for the reader property: well-formed ones weighted up, with
+    // signs, whitespace, letters, overlong numbers and empty fields.
+    const FIELD: &[&str] = &[
+        "0",
+        "7",
+        "42",
+        " 5",
+        "5 ",
+        "\t5",
+        "5\r",
+        "+5",
+        "-5",
+        "5a",
+        "x",
+        "",
+        " ",
+        "\u{a0}5",
+        "4294967295",
+        "4294967296",
+        "0000000000003",
+    ];
 }

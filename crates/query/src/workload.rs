@@ -14,7 +14,7 @@ use crate::error::QueryError;
 use crate::exact::evaluate_exact;
 use crate::predicate::InPredicate;
 use crate::query::CountQuery;
-use anatomy_tables::Microdata;
+use anatomy_tables::{codec, Microdata};
 use rand::rngs::StdRng;
 use rand::seq::index;
 use rand::SeedableRng;
@@ -178,88 +178,183 @@ impl WorkloadSpec {
 /// `qi<attr>=v1|v2|...;...;s=v1|v2|...`. Lets a workload generated once be
 /// re-evaluated across processes or implementations.
 pub fn workload_to_text(queries: &[CountQuery]) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
+    let mut out = codec::Writer::with_capacity(32 * queries.len());
     for q in queries {
         for (attr, pred) in &q.qi_preds {
-            let _ = write!(out, "qi{attr}=");
-            for (i, v) in pred.values().iter().enumerate() {
-                if i > 0 {
-                    out.push('|');
-                }
-                let _ = write!(out, "{v}");
-            }
-            out.push(';');
+            out.str("qi");
+            out.usize(*attr);
+            out.byte(b'=');
+            push_values(&mut out, pred.values());
+            out.byte(b';');
         }
-        let _ = write!(out, "s=");
-        for (i, v) in q.sens_pred.values().iter().enumerate() {
-            if i > 0 {
-                out.push('|');
-            }
-            let _ = write!(out, "{v}");
-        }
-        out.push('\n');
+        out.str("s=");
+        push_values(&mut out, q.sens_pred.values());
+        out.byte(b'\n');
     }
-    out
+    out.into_string()
+}
+
+/// `v1|v2|...`.
+fn push_values(out: &mut codec::Writer, values: &[u32]) {
+    for (i, &v) in values.iter().enumerate() {
+        if i > 0 {
+            out.byte(b'|');
+        }
+        out.u32(v);
+    }
 }
 
 /// Parse a workload produced by [`workload_to_text`], validating every
 /// predicate against `md`'s domains.
+///
+/// Each line goes to a byte path first, which takes only plain lines and
+/// reuses the previous line's QI predicates when its QI part is
+/// byte-identical (a drill-down batch repeats one prefix over many
+/// sensitive predicates). Every line it declines takes the `str` path,
+/// which owns every error message.
 pub fn workload_from_text(md: &Microdata, text: &str) -> Result<Vec<CountQuery>, QueryError> {
     let mut queries = Vec::new();
-    for (idx, line) in text.lines().enumerate() {
-        let line_no = idx + 1;
-        if line.trim().is_empty() {
-            continue;
+    // The QI part of the last line the byte path took, and that line's
+    // query.
+    let mut prefix: Option<(&[u8], usize)> = None;
+    let (mut at, mut line_no) = (0, 0);
+    while at < text.len() {
+        let (line, next) = codec::line_at(text, at);
+        at = next;
+        line_no += 1;
+        let bytes = line.as_bytes();
+        if let Some((qi_part, query)) = scan_query(md, bytes, prefix, &queries) {
+            prefix = Some((qi_part, queries.len()));
+            queries.push(query);
+        } else if !line.trim().is_empty() {
+            queries.push(parse_query(md, line, line_no)?);
         }
-        let mut qi_preds = Vec::new();
-        let mut sens_pred = None;
-        for part in line.split(';') {
-            let (lhs, rhs) = part.split_once('=').ok_or_else(|| {
-                QueryError::BadSpec(format!("line {line_no}: `{part}` has no `=`"))
-            })?;
-            let values: Result<Vec<u32>, _> =
-                rhs.split('|').map(|v| v.trim().parse::<u32>()).collect();
-            let values = values.map_err(|_| {
-                QueryError::BadSpec(format!("line {line_no}: bad value list `{rhs}`"))
-            })?;
-            if lhs == "s" {
-                if sens_pred.is_some() {
-                    return Err(QueryError::BadSpec(format!(
-                        "line {line_no}: duplicate sensitive predicate"
-                    )));
-                }
-                sens_pred = Some(InPredicate::new(values, md.sensitive_domain_size())?);
-            } else if let Some(attr) = lhs.strip_prefix("qi") {
-                let attr: usize = attr.parse().map_err(|_| {
-                    QueryError::BadSpec(format!("line {line_no}: bad attribute `{lhs}`"))
-                })?;
-                if attr >= md.qi_count() {
-                    return Err(QueryError::BadSpec(format!(
-                        "line {line_no}: QI attribute {attr} out of range"
-                    )));
-                }
-                if qi_preds.iter().any(|(a, _)| *a >= attr) {
-                    return Err(QueryError::BadSpec(format!(
-                        "line {line_no}: QI attributes must be strictly increasing"
-                    )));
-                }
-                qi_preds.push((attr, InPredicate::new(values, md.qi_domain_size(attr))?));
-            } else {
-                return Err(QueryError::BadSpec(format!(
-                    "line {line_no}: unknown predicate `{lhs}`"
-                )));
-            }
-        }
-        let sens_pred = sens_pred.ok_or_else(|| {
-            QueryError::BadSpec(format!("line {line_no}: missing sensitive predicate"))
-        })?;
-        queries.push(CountQuery {
-            qi_preds,
-            sens_pred,
-        });
     }
     Ok(queries)
+}
+
+/// The `str` path for one non-blank workload line.
+fn parse_query(md: &Microdata, line: &str, line_no: usize) -> Result<CountQuery, QueryError> {
+    let mut qi_preds = Vec::new();
+    let mut sens_pred = None;
+    for part in line.split(';') {
+        let (lhs, rhs) = part
+            .split_once('=')
+            .ok_or_else(|| QueryError::BadSpec(format!("line {line_no}: `{part}` has no `=`")))?;
+        let values: Result<Vec<u32>, _> = rhs.split('|').map(|v| v.trim().parse::<u32>()).collect();
+        let values = values
+            .map_err(|_| QueryError::BadSpec(format!("line {line_no}: bad value list `{rhs}`")))?;
+        if lhs == "s" {
+            if sens_pred.is_some() {
+                return Err(QueryError::BadSpec(format!(
+                    "line {line_no}: duplicate sensitive predicate"
+                )));
+            }
+            sens_pred = Some(InPredicate::new(values, md.sensitive_domain_size())?);
+        } else if let Some(attr) = lhs.strip_prefix("qi") {
+            let attr: usize = attr.parse().map_err(|_| {
+                QueryError::BadSpec(format!("line {line_no}: bad attribute `{lhs}`"))
+            })?;
+            if attr >= md.qi_count() {
+                return Err(QueryError::BadSpec(format!(
+                    "line {line_no}: QI attribute {attr} out of range"
+                )));
+            }
+            if qi_preds.iter().any(|(a, _)| *a >= attr) {
+                return Err(QueryError::BadSpec(format!(
+                    "line {line_no}: QI attributes must be strictly increasing"
+                )));
+            }
+            qi_preds.push((attr, InPredicate::new(values, md.qi_domain_size(attr))?));
+        } else {
+            return Err(QueryError::BadSpec(format!(
+                "line {line_no}: unknown predicate `{lhs}`"
+            )));
+        }
+    }
+    let sens_pred = sens_pred.ok_or_else(|| {
+        QueryError::BadSpec(format!("line {line_no}: missing sensitive predicate"))
+    })?;
+    Ok(CountQuery {
+        qi_preds,
+        sens_pred,
+    })
+}
+
+/// The byte path for one workload line: `(qi<attr>=<values>;)*s=<values>`
+/// with plain decimal numbers, QI attributes strictly increasing and in
+/// range, and every value in its domain. Returns the line's QI part and
+/// its query, or `None` for anything else. When the QI part equals
+/// `prefix`'s, the QI predicates are copied from that earlier query.
+fn scan_query<'t>(
+    md: &Microdata,
+    line: &'t [u8],
+    prefix: Option<(&[u8], usize)>,
+    done: &[CountQuery],
+) -> Option<(&'t [u8], CountQuery)> {
+    let sens_at = line.iter().rposition(|&b| b == b';').map_or(0, |i| i + 1);
+    let (qi_part, sens_part) = line.split_at(sens_at);
+    let sens_values = scan_values(sens_part.strip_prefix(b"s=")?)?;
+    let qi_preds = match prefix {
+        Some((bytes, q)) if bytes == qi_part => done[q].qi_preds.clone(),
+        _ => scan_qi_part(md, qi_part)?,
+    };
+    let sens_pred = InPredicate::new(sens_values, md.sensitive_domain_size()).ok()?;
+    Some((
+        qi_part,
+        CountQuery {
+            qi_preds,
+            sens_pred,
+        },
+    ))
+}
+
+/// The QI predicates of a byte-path line's QI part, each `qi<attr>=<values>;`.
+fn scan_qi_part(md: &Microdata, qi_part: &[u8]) -> Option<Vec<(usize, InPredicate)>> {
+    let mut preds: Vec<(usize, InPredicate)> = Vec::new();
+    let Some(parts) = qi_part.strip_suffix(b";") else {
+        return Some(preds); // no QI part: `qi_part` is empty
+    };
+    for part in parts.split(|&b| b == b';') {
+        let rest = part.strip_prefix(b"qi")?;
+        let eq = rest.iter().position(|&b| b == b'=')?;
+        let attr = scan_number(&rest[..eq])? as usize;
+        if attr >= md.qi_count() || preds.last().is_some_and(|&(a, _)| a >= attr) {
+            return None;
+        }
+        let values = scan_values(&rest[eq + 1..])?;
+        preds.push((
+            attr,
+            InPredicate::new(values, md.qi_domain_size(attr)).ok()?,
+        ));
+    }
+    Some(preds)
+}
+
+/// `v1|v2|...`, each a plain decimal `u32`.
+fn scan_values(bytes: &[u8]) -> Option<Vec<u32>> {
+    bytes
+        .split(|&b| b == b'|')
+        .map(|field| scan_number(field).and_then(|v| u32::try_from(v).ok()))
+        .collect()
+}
+
+/// A non-empty run of ASCII digits whose value fits a `u32`, as a `u64`.
+fn scan_number(bytes: &[u8]) -> Option<u64> {
+    if bytes.is_empty() {
+        return None;
+    }
+    let mut v = 0u64;
+    for &b in bytes {
+        if !b.is_ascii_digit() {
+            return None;
+        }
+        v = v * 10 + u64::from(b - b'0');
+        if v > u64::from(u32::MAX) {
+            return None;
+        }
+    }
+    Some(v)
 }
 
 #[cfg(test)]
@@ -509,6 +604,254 @@ mod tests {
         assert!(workload_from_text(&md, "qi0=x;s=0\n").is_err()); // bad number
         assert!(workload_from_text(&md, "").unwrap().is_empty());
     }
+
+    /// `workload_to_text` as it was before the codec: `write!` per value.
+    /// The oracle of the writer test below.
+    fn workload_to_text_by_fmt(queries: &[CountQuery]) -> String {
+        use std::fmt::Write as _;
+        let mut out = String::new();
+        for q in queries {
+            for (attr, pred) in &q.qi_preds {
+                let _ = write!(out, "qi{attr}=");
+                for (i, v) in pred.values().iter().enumerate() {
+                    if i > 0 {
+                        out.push('|');
+                    }
+                    let _ = write!(out, "{v}");
+                }
+                out.push(';');
+            }
+            let _ = write!(out, "s=");
+            for (i, v) in q.sens_pred.values().iter().enumerate() {
+                if i > 0 {
+                    out.push('|');
+                }
+                let _ = write!(out, "{v}");
+            }
+            out.push('\n');
+        }
+        out
+    }
+
+    /// `workload_from_text` with the `str` path on every line: the oracle
+    /// of the reader tests below.
+    fn workload_from_text_by_str(
+        md: &Microdata,
+        text: &str,
+    ) -> Result<Vec<CountQuery>, QueryError> {
+        let mut queries = Vec::new();
+        for (idx, line) in text.lines().enumerate() {
+            if !line.trim().is_empty() {
+                queries.push(parse_query(md, line, idx + 1)?);
+            }
+        }
+        Ok(queries)
+    }
+
+    /// Assert that the byte path and the `str` oracle agree on `text`: the
+    /// same queries, or the same error text with the same line number.
+    fn assert_parses_like_the_str_path(md: &Microdata, text: &str) {
+        let fast = workload_from_text(md, text).map_err(|e| e.to_string());
+        let by_str = workload_from_text_by_str(md, text).map_err(|e| e.to_string());
+        assert_eq!(fast, by_str, "text {text:?}");
+    }
+
+    #[test]
+    fn workload_text_matches_a_format_oracle() {
+        use rand::RngExt;
+        // InPredicate keeps a mask as large as its domain, so domains stop
+        // at 65 537 here; attribute indices go past `u32::MAX`.
+        const DOMAINS: &[u32] = &[1, 9, 10, 11, 99, 100, 101, 65_535, 65_536, 65_537];
+        let edges: Vec<u32> = (0..6)
+            .flat_map(|d| {
+                let p = 10u32.pow(d);
+                [p - 1, p, p + 1]
+            })
+            .chain([65_534, 65_535, 65_536])
+            .collect();
+        let mut rng = StdRng::seed_from_u64(21);
+        let pred = |rng: &mut StdRng| {
+            let domain = DOMAINS[rng.random_range(0..DOMAINS.len())];
+            let values: Vec<u32> = (0..rng.random_range(1..6usize))
+                .map(|_| {
+                    let e = edges[rng.random_range(0..edges.len())];
+                    if e < domain {
+                        e
+                    } else {
+                        rng.random_range(0..domain)
+                    }
+                })
+                .collect();
+            InPredicate::new(values, domain).unwrap()
+        };
+        for _ in 0..64 {
+            let queries: Vec<CountQuery> = (0..rng.random_range(0..8usize))
+                .map(|_| {
+                    let mut attr = 0usize;
+                    let qi_preds = (0..rng.random_range(0..4usize))
+                        .map(|_| {
+                            attr += [1, 9, 90, 4_294_967_296][rng.random_range(0..4usize)];
+                            (attr, pred(&mut rng))
+                        })
+                        .collect();
+                    CountQuery {
+                        qi_preds,
+                        sens_pred: pred(&mut rng),
+                    }
+                })
+                .collect();
+            assert_eq!(
+                workload_to_text(&queries),
+                workload_to_text_by_fmt(&queries)
+            );
+        }
+    }
+
+    #[test]
+    fn prefix_reuse_parses_like_the_str_path() {
+        let md = md(50);
+        // A batch alternating two QI prefixes, and one repeating a prefix.
+        let mut batch = String::new();
+        for s in 0..50 {
+            let prefix = if s % 2 == 0 {
+                "qi0=1|5|9;qi2=3;"
+            } else {
+                "qi1=1;"
+            };
+            batch += &format!("{prefix}s={s}\n");
+        }
+        for s in 0..10 {
+            batch += &format!("qi0=7;qi1=0|1;qi2=16;s={s}|{}\n", s + 1);
+        }
+        assert_parses_like_the_str_path(&md, &batch);
+        assert_eq!(workload_from_text(&md, &batch).unwrap().len(), 60);
+        // The same set in different bytes is parsed, not reused, and lands
+        // on the same predicate.
+        let text = "qi0=3|1;s=0\nqi0=1|3;s=1\nqi0=1|3|1;s=2\n";
+        assert_parses_like_the_str_path(&md, text);
+        let qs = workload_from_text(&md, text).unwrap();
+        assert!(qs.iter().all(|q| q.qi_preds == qs[0].qi_preds));
+        // Prefixes of one length but other bytes are parsed, not reused.
+        let text = "qi0=1;s=0\nqi0=2;s=0\nqi1=1;s=0\nqi2=1;s=0\n";
+        assert_parses_like_the_str_path(&md, text);
+        let qs = workload_from_text(&md, text).unwrap();
+        assert_eq!(qs[1].qi_preds[0].1.values(), &[2]);
+        assert_eq!(qs[2].qi_preds[0].0, 1);
+        // A reused prefix still meets the line's own errors.
+        assert_parses_like_the_str_path(&md, "qi0=2;s=1\nqi0=2;s=50\n");
+        assert_parses_like_the_str_path(&md, "qi0=2;s=1\nqi0=2;s=1;s=2\n");
+    }
+
+    #[test]
+    fn the_byte_path_accepts_no_more_than_the_str_path() {
+        let md = md(50);
+        for text in [
+            "qi 0=1;s=0\n",
+            "qi+0=1;s=0\n",
+            "qi00=1;s=0\n",
+            "qi0=+1;s=0\n",
+            "qi0= 1;s=0\n",
+            "qi0=1 ;s=0\n",
+            "qi0=1\t;s=0\r\n",
+            "qi-0=1;s=0\n",
+            "qi0=1|;s=0\n",
+            "qi0=|1;s=0\n",
+            "qi0=;s=0\n",
+            "qi0=1;;s=0\n",
+            "qi0=1;s=0;\n",
+            "s=0;qi0=1\n",
+            "s= 0\n",
+            "s=0\u{a0}\n",
+            "s=4294967295\n",
+            "s=4294967296\n",
+            "s=1=2\n",
+            "qi0=1=2;s=0\n",
+            "qi99999999999999999999=1;s=0\n",
+            "qi3=1;s=0\n",
+            "qi1=1;qi0=1;s=0\n",
+            "qi0=77;s=49\n",
+            "qi0=78;s=0\n",
+            "\u{a0}\n \t\r\ns=1\r\n\r\n",
+            "s=0\ns=1",
+        ] {
+            assert_parses_like_the_str_path(&md, text);
+        }
+    }
+
+    mod properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(1024))]
+            /// On lines joined from well-formed and malformed parts, with
+            /// blank lines and CRLF, the byte path returns what the `str`
+            /// oracle returns: the same queries, or the same error text.
+            #[test]
+            fn workload_from_text_agrees_with_the_str_path(
+                lines in proptest::collection::vec(
+                    (proptest::collection::vec(0..PART.len(), 0..4), 0..SENS.len()),
+                    0..8,
+                ),
+                crlf in 0u8..3,
+            ) {
+                let md = md(50);
+                let mut text = String::new();
+                for (i, (parts, sens)) in lines.iter().enumerate() {
+                    let mut line: Vec<&str> = parts.iter().map(|&p| PART[p]).collect();
+                    line.push(SENS[*sens]);
+                    text += &line.join(";");
+                    if !(i + 1 == lines.len() && crlf == 2) {
+                        text += if crlf == 1 { "\r\n" } else { "\n" };
+                    }
+                }
+                let fast = workload_from_text(&md, &text).map_err(|e| e.to_string());
+                let by_str = workload_from_text_by_str(&md, &text).map_err(|e| e.to_string());
+                prop_assert_eq!(fast, by_str, "text {:?}", text);
+            }
+        }
+    }
+
+    // QI parts for the reader property, plain ones weighted up.
+    const PART: &[&str] = &[
+        "qi0=3|1",
+        "qi0=3|1",
+        "qi1=0",
+        "qi1=0|1",
+        "qi2=5|5|16",
+        "qi0=1|3",
+        "qi 0=1",
+        "qi+0=1",
+        "qi00=2",
+        "qi1=x",
+        "qi9=1",
+        "qi0=999",
+        "qi1= 1",
+        "qi0=1|",
+        "",
+        "x=1",
+        "qi0",
+        "qi-1=0",
+        "qi1=1\t",
+        "s=2",
+        "qi2=4294967296",
+    ];
+    // Sensitive parts, and a few things that are not.
+    const SENS: &[&str] = &[
+        "s=1",
+        "s=0|49",
+        "s=7",
+        "s= 2",
+        "s=+3",
+        "s=4294967295",
+        "s=4294967296",
+        "s=",
+        "s=1=2",
+        "\u{a0}",
+        "",
+        "s=50",
+        "s=1|1",
+    ];
 
     #[test]
     fn observed_selectivity_is_in_the_right_ballpark() {

@@ -25,6 +25,14 @@ pub enum TablesError {
     UnknownAttribute(String),
     /// Two attributes in one schema share a name.
     DuplicateAttribute(String),
+    /// An attribute name that a CSV header line cannot carry, so the
+    /// workspace's own readers would refuse the files its writers make.
+    BadAttributeName {
+        /// The name as given.
+        name: String,
+        /// What is wrong with it.
+        reason: &'static str,
+    },
     /// A column index was out of range.
     ColumnOutOfRange {
         /// Requested column index.
@@ -76,6 +84,9 @@ impl fmt::Display for TablesError {
             }
             TablesError::DuplicateAttribute(name) => {
                 write!(f, "attribute `{name}` appears more than once in schema")
+            }
+            TablesError::BadAttributeName { name, reason } => {
+                write!(f, "attribute name {name:?} {reason}, which a CSV header cannot carry")
             }
             TablesError::ColumnOutOfRange { index, width } => {
                 write!(f, "column index {index} out of range for width {width}")

@@ -16,6 +16,8 @@
 //! * [`Microdata`] — a table plus the designation of QI columns and the
 //!   sensitive column, the unit every anonymization algorithm consumes;
 //! * [`csv`] — plain-text serialization for tables (round-trip safe);
+//! * [`codec`] — the byte-level decimal writer and block line scanner
+//!   behind microdata CSV, release files and query workloads;
 //! * [`sample`] — seeded random sampling, used by the cardinality sweeps of
 //!   the paper's Figures 7 and 9;
 //! * [`stats`] — frequency statistics (histograms, most-frequent-value
@@ -31,6 +33,7 @@
 //! taxonomy reasoning in the generalization baseline trivial.
 
 pub mod attribute;
+pub mod codec;
 pub mod csv;
 pub mod error;
 pub mod microdata;

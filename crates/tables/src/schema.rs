@@ -16,15 +16,37 @@ pub struct Schema {
 }
 
 impl Schema {
-    /// Build a schema from attributes. Fails if two attributes share a name.
+    /// Build a schema from attributes. Fails if two attributes share a name
+    /// or a name fails [`Schema::check_name`].
     pub fn new(attributes: Vec<Attribute>) -> Result<Self, TablesError> {
         for (i, a) in attributes.iter().enumerate() {
+            Self::check_name(a.name())?;
             if attributes[..i].iter().any(|b| b.name() == a.name()) {
                 return Err(TablesError::DuplicateAttribute(a.name().to_string()));
             }
         }
         Ok(Schema {
             attributes: Arc::from(attributes),
+        })
+    }
+
+    /// Check that `name` survives as a field of a CSV header line, which
+    /// the CSV and release readers split on `,`, end at a line break and
+    /// trim at its end: it may hold no `,`, `\n` or `\r` and may not end
+    /// in whitespace.
+    pub fn check_name(name: &str) -> Result<(), TablesError> {
+        let reason = if name.contains(',') {
+            "holds `,`"
+        } else if name.contains(['\n', '\r']) {
+            "holds a line break"
+        } else if name.ends_with(char::is_whitespace) {
+            "ends in whitespace"
+        } else {
+            return Ok(());
+        };
+        Err(TablesError::BadAttributeName {
+            name: name.to_string(),
+            reason,
         })
     }
 
@@ -126,6 +148,30 @@ mod tests {
         ])
         .unwrap_err();
         assert_eq!(err, TablesError::DuplicateAttribute("Age".into()));
+    }
+
+    #[test]
+    fn names_a_csv_header_cannot_carry_are_rejected() {
+        for (name, reason) in [
+            ("Age,years", "holds `,`"),
+            ("Age\nyears", "holds a line break"),
+            ("Age\r", "holds a line break"),
+            ("S ", "ends in whitespace"),
+            ("S\u{a0}", "ends in whitespace"),
+        ] {
+            let err = Schema::new(vec![Attribute::numerical(name, 2)]).unwrap_err();
+            assert_eq!(
+                err,
+                TablesError::BadAttributeName {
+                    name: name.into(),
+                    reason
+                }
+            );
+            assert!(err.to_string().contains(&format!("{name:?}")), "{err}");
+        }
+        for name in ["", " Age", "Âge", "a b", "A|B;C=D", "\u{a0}x"] {
+            assert!(Schema::check_name(name).is_ok(), "{name:?}");
+        }
     }
 
     #[test]

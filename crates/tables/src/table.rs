@@ -215,6 +215,8 @@ impl fmt::Display for Table {
 #[derive(Debug, Clone)]
 pub struct TableBuilder {
     schema: Schema,
+    /// Each column's domain size, so a row's check is one compare per code.
+    domains: Vec<u32>,
     columns: Vec<Vec<u32>>,
     len: usize,
 }
@@ -222,21 +224,22 @@ pub struct TableBuilder {
 impl TableBuilder {
     /// Start building a table with the given schema.
     pub fn new(schema: Schema) -> Self {
-        let columns = (0..schema.width()).map(|_| Vec::new()).collect();
-        TableBuilder {
-            schema,
-            columns,
-            len: 0,
-        }
+        Self::with_capacity(schema, 0)
     }
 
     /// Start building with row capacity reserved up front.
     pub fn with_capacity(schema: Schema, rows: usize) -> Self {
+        let domains = schema
+            .attributes()
+            .iter()
+            .map(|a| a.domain_size())
+            .collect();
         let columns = (0..schema.width())
             .map(|_| Vec::with_capacity(rows))
             .collect();
         TableBuilder {
             schema,
+            domains,
             columns,
             len: 0,
         }
@@ -250,8 +253,8 @@ impl TableBuilder {
                 got: codes.len(),
             });
         }
-        for (i, &c) in codes.iter().enumerate() {
-            self.schema.attribute(i)?.check(c)?;
+        if let Some(i) = codes.iter().zip(&self.domains).position(|(&c, &d)| c >= d) {
+            return self.schema.attributes()[i].check(codes[i]);
         }
         for (col, &c) in self.columns.iter_mut().zip(codes) {
             col.push(c);
