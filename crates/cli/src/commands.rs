@@ -8,13 +8,13 @@ use anatomy::audit::{audit_parts_for, audit_release_for, render_registry, Stage}
 use anatomy::storage::PageConfig;
 use anatomy::{Engine, Error, Publish};
 use anatomy_core::diversity::max_feasible_l;
-use anatomy_core::release::{parse_release, parse_release_parts, qit_to_csv, st_to_csv};
-use anatomy_core::{AnatomizedTables, ShardConfig};
+use anatomy_core::release::{parse_release_parts, qit_to_csv, st_to_csv};
+use anatomy_core::{AnatomizedTables, ShardConfig, StRecord};
 use anatomy_obs::RunManifest;
 use anatomy_pool::Pool;
 use anatomy_query::{estimate_anatomy_batch_v2, workload_from_text, QueryIndexV2};
 use anatomy_serve::{ServeConfig, ServedRelease, Server};
-use anatomy_tables::{csv, Microdata, Schema, Table, TableBuilder};
+use anatomy_tables::{csv, Microdata, Schema, Table, TableBuilder, TablesError};
 use std::fmt::Write as _;
 use std::fs;
 
@@ -360,13 +360,42 @@ fn load_release(
     l: usize,
 ) -> CliResult<(Schema, AnatomizedTables)> {
     let schema = load_schema(schema_path)?;
-    let (qi, _) = designate(&schema, sensitive)?;
+    let (qi, s_col) = designate(&schema, sensitive)?;
     let qi_schema = schema.project(&qi)?;
-    let tables =
-        parse_release(qi_schema, &read_file(qit_path)?, &read_file(st_path)?, l).map_err(|e| {
-            Error::from(e).context(format!("cannot load release {qit_path} / {st_path}"))
-        })?;
+    let context = || format!("cannot load release {qit_path} / {st_path}");
+    let (qit, group_ids, st) =
+        parse_release_parts(qi_schema, &read_file(qit_path)?, &read_file(st_path)?)
+            .map_err(|e| Error::from(e).context(context()))?;
+    check_st_domain(&st, &schema, s_col).map_err(|e| e.context(context()))?;
+    let tables = AnatomizedTables::from_parts(qit, group_ids, st, l)
+        .map_err(|e| Error::from(e).context(context()))?;
     Ok((schema, tables))
+}
+
+/// Refuse an ST record whose sensitive value lies outside the schema's
+/// domain. The release's own invariants cannot see the schema, so such a
+/// record passes every structural check, and a query over it would index
+/// past the domain. `query`, `serve` and `verify` all run this check.
+fn check_st_domain(st: &[StRecord], schema: &Schema, s_col: usize) -> CliResult<()> {
+    let attr = schema.attribute(s_col)?;
+    let domain_size = attr.domain_size();
+    match st.iter().position(|r| r.value.code() >= domain_size) {
+        None => Ok(()),
+        Some(i) => {
+            let r = &st[i];
+            Err(Error::from(TablesError::ValueOutOfDomain {
+                attribute: attr.name().to_string(),
+                code: r.value.code(),
+                domain_size,
+            })
+            .context(format!(
+                "ST record {} (Group-ID {}, value {}) is outside the sensitive domain",
+                i + 1,
+                r.group as u64 + 1,
+                r.value.code()
+            )))
+        }
+    }
 }
 
 /// `anatomy verify`: every registered invariant of one stage over a
@@ -374,8 +403,9 @@ fn load_release(
 /// posterior.
 ///
 /// Parsing is deliberately lenient — `parse_release_parts` checks only
-/// CSV syntax and schema conformance — so a *corrupt* release reaches
-/// the auditor instead of dying in the strict `from_parts` validation.
+/// CSV syntax and schema conformance, and [`check_st_domain`] the ST's
+/// sensitive values — so a *corrupt* release reaches the auditor instead
+/// of dying in the strict `from_parts` validation.
 /// When the structural checks pass, the release is re-assembled and the
 /// release-level checks (query-layer consistency, and for `--stage
 /// incremental` the emission-order shape check) run too. Any failed
@@ -391,12 +421,13 @@ fn verify(
 ) -> CliResult<String> {
     let stage = parse_stage(stage)?.unwrap_or(Stage::Anatomize);
     let schema = load_schema(schema_path)?;
-    let (qi, _) = designate(&schema, sensitive)?;
+    let (qi, s_col) = designate(&schema, sensitive)?;
     let qi_schema = schema.project(&qi)?;
+    let context = || format!("cannot parse release {qit_path} / {st_path}");
     let (qit, group_ids, st) =
-        parse_release_parts(qi_schema, &read_file(qit_path)?, &read_file(st_path)?).map_err(
-            |e| Error::from(e).context(format!("cannot parse release {qit_path} / {st_path}")),
-        )?;
+        parse_release_parts(qi_schema, &read_file(qit_path)?, &read_file(st_path)?)
+            .map_err(|e| Error::from(e).context(context()))?;
+    check_st_domain(&st, &schema, s_col).map_err(|e| e.context(context()))?;
     let structural = audit_parts_for(stage, &group_ids, &st, l);
     let report = if structural.passed() {
         // Structure holds, so strict re-assembly cannot fail; run the

@@ -425,6 +425,117 @@ fn query_on_a_header_only_release_exits_0() {
         .contains("estimate: 0.000"));
 }
 
+/// Writes a two-attribute schema (`Age` and a 5-value `Disease`) and the
+/// given QIT and ST texts into `dir`; returns the three paths.
+fn hostile_release(dir: &std::path::Path, qit: &str, st: &str) -> [String; 3] {
+    let paths = ["schema.txt", "qit.csv", "st.csv"].map(|f| dir.join(f));
+    fs::write(&paths[0], "Age:numerical:100\nDisease:categorical:5\n").unwrap();
+    fs::write(&paths[1], qit).unwrap();
+    fs::write(&paths[2], st).unwrap();
+    paths.map(|p| p.to_string_lossy().into_owned())
+}
+
+/// `query` (with `--query s=0`) or `verify` over a release at l = 2.
+fn release_command(cmd: &str, [schema, qit, st]: &[String; 3]) -> std::process::Output {
+    let mut args = vec![
+        cmd,
+        "--qit",
+        qit,
+        "--st",
+        st,
+        "--schema",
+        schema,
+        "--sensitive",
+        "Disease",
+        "--l",
+        "2",
+    ];
+    if cmd == "query" {
+        args.extend(["--query", "s=0"]);
+    }
+    bin().args(args).output().unwrap()
+}
+
+/// An ST value at or above the sensitive domain used to panic `query`
+/// (an index past the predicate's mask) and pass every `verify` check.
+/// Both now refuse it, naming the record and the domain.
+#[test]
+fn an_st_value_outside_the_sensitive_domain_is_refused() {
+    let dir = scratch("st-domain");
+    let release = hostile_release(
+        &dir,
+        "Age,Group-ID\n1,1\n2,1\n3,2\n4,2\n",
+        "Group-ID,As,Count\n1,0,1\n1,5,1\n2,1,1\n2,2,1\n",
+    );
+    for cmd in ["query", "verify"] {
+        let out = release_command(cmd, &release);
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(out.status.code(), Some(1), "{cmd}: {stderr}");
+        assert!(
+            stderr.contains("ST record 2 (Group-ID 1, value 5) is outside the sensitive domain"),
+            "{cmd}: {stderr}"
+        );
+        assert!(
+            stderr.contains("value code 5 is outside the domain of attribute `Disease` (size 5)"),
+            "{cmd}: {stderr}"
+        );
+    }
+
+    // `serve` loads releases the same way, so it exits before binding.
+    let [schema, qit, st] = &release;
+    let child = bin()
+        .args([
+            "serve",
+            "--qit",
+            qit,
+            "--st",
+            st,
+            "--schema",
+            schema,
+            "--sensitive",
+            "Disease",
+            "--l",
+            "2",
+            "--listen",
+            "127.0.0.1:0",
+        ])
+        .stderr(std::process::Stdio::null())
+        .spawn()
+        .unwrap();
+    let mut guard = ChildGuard(Some(child));
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+    let status = loop {
+        if let Some(status) = guard.0.as_mut().unwrap().try_wait().unwrap() {
+            break status;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "serve kept running on a release outside the sensitive domain"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    };
+    assert_eq!(status.code(), Some(1));
+}
+
+/// A group id near `u32::MAX` used to size a 16 GiB table in `query`'s
+/// release loading; it is now the ordinary not-dense error, exit 1.
+#[test]
+fn a_huge_group_id_fails_query_with_exit_1() {
+    let dir = scratch("huge-gid");
+    let release = hostile_release(
+        &dir,
+        "Age,Group-ID\n1,4294967295\n2,4294967295\n",
+        "Group-ID,As,Count\n4294967295,0,1\n4294967295,1,1\n",
+    );
+    let out = release_command("query", &release);
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("group ids are not dense: group 0 has no tuples"),
+        "{stderr}"
+    );
+}
+
 /// Kills a spawned server if a test assertion fails before SHUTDOWN.
 struct ChildGuard(Option<std::process::Child>);
 

@@ -78,8 +78,9 @@ pub fn tables_from_files(
     let pool = BufferPool::unbounded();
     let scratch = IoCounter::new();
 
-    let mut builder = anatomy_tables::TableBuilder::new(qi_schema);
-    let mut group_ids = Vec::with_capacity(qit.record_count());
+    let rows = qit.record_count();
+    let mut builder = anatomy_tables::TableBuilder::with_capacity(qi_schema, rows);
+    let mut group_ids = Vec::with_capacity(rows);
     let mut reader = SeqReader::open(qit, U32RowCodec::new(d + 1), &pool, scratch.clone())?;
     let mut rec = Vec::with_capacity(d + 1);
     while reader.next_into(&mut rec)? {

@@ -58,6 +58,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{RngExt, SeedableRng};
 use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
 use std::collections::BinaryHeap;
 
 /// Extra pages the budget reserves so the QIT/ST emitters can
@@ -221,6 +222,17 @@ pub fn model_pages(n: usize, d: usize, lambda: usize, l: usize, shard: &ShardCon
     // st_merge: read the schedule files again, write the ST.
     let st_merge = (sched + lam) + (st + 1);
     shard_partition + bucket_split + group_schedule + bucket_assign + residue + qit_merge + st_merge
+}
+
+/// A merge-heap key: `hi` in the upper 32 bits and `lo` in the lower, so
+/// keys order exactly as the `(hi, lo)` pairs they pack.
+fn merge_key(hi: u32, lo: u32) -> u64 {
+    (hi as u64) << 32 | lo as u64
+}
+
+/// The `(hi, lo)` pair a [`merge_key`] packs.
+fn merge_key_parts(key: u64) -> (u32, u32) {
+    ((key >> 32) as u32, key as u32)
 }
 
 /// Serialize `md` into `(qi_1, …, qi_d, s, row_id)` records without
@@ -579,38 +591,48 @@ pub fn anatomize_sharded(
             .map(|f| SeqReader::open(f, tuple_codec, &pool, counter.clone()))
             .collect::<Result<_, _>>()?;
         // Each run's head record, decoded in place; a run is in the heap
-        // exactly while its head holds a record.
+        // exactly while its head holds a record. Keys pack (row id, run).
         let mut heads: Vec<Vec<u32>> = vec![Vec::with_capacity(d + 2); lambda];
-        let mut heap: BinaryHeap<Reverse<(u32, usize)>> = BinaryHeap::with_capacity(lambda + 1);
+        let mut heap: BinaryHeap<Reverse<u64>> = BinaryHeap::with_capacity(lambda + 1);
         for (i, r) in readers.iter_mut().enumerate() {
             if r.next_into(&mut heads[i])? {
-                heap.push(Reverse((heads[i][0], i)));
+                heap.push(Reverse(merge_key(heads[i][0], i as u32)));
             }
         }
         residue_rows.sort_unstable_by_key(|t| t.0);
         let mut res_iter = residue_rows.iter().peekable();
         if let Some(t) = res_iter.peek() {
-            heap.push(Reverse((t.0, lambda)));
+            heap.push(Reverse(merge_key(t.0, lambda as u32)));
         }
 
         let mut w = SeqWriter::open_buffered(&mut qit, qit_codec, cfg, &pool, counter.clone(), 2)?;
         let mut out = vec![0u32; d + 1];
-        while let Some(Reverse((_, i))) = heap.pop() {
-            if i == lambda {
+        while let Some(mut top) = heap.peek_mut() {
+            let run = merge_key_parts(top.0).1;
+            let i = run as usize;
+            let next_row = if i == lambda {
                 let (_, qi, gid, _) = res_iter.next().expect("peeked residue stream");
                 out[..d].copy_from_slice(qi);
                 out[d] = *gid;
                 w.push(&out)?;
-                if let Some(t) = res_iter.peek() {
-                    heap.push(Reverse((t.0, lambda)));
-                }
+                res_iter.peek().map(|t| t.0)
             } else {
                 let rec = &heads[i];
                 out[..d].copy_from_slice(&rec[1..=d]);
                 out[d] = rec[d + 1];
                 w.push(&out)?;
                 if readers[i].next_into(&mut heads[i])? {
-                    heap.push(Reverse((heads[i][0], i)));
+                    Some(heads[i][0])
+                } else {
+                    None
+                }
+            };
+            // The run's next head replaces the top with one sift-down; an
+            // exhausted run leaves the heap.
+            match next_row {
+                Some(row) => top.0 = merge_key(row, run),
+                None => {
+                    PeekMut::pop(top);
                 }
             }
         }
@@ -630,37 +652,48 @@ pub fn anatomize_sharded(
             .map(|f| SeqReader::open(f, sched_codec, &pool, counter.clone()))
             .collect::<Result<_, _>>()?;
         let mut heads: Vec<Vec<u32>> = vec![Vec::with_capacity(1); lambda];
-        let mut heap: BinaryHeap<Reverse<(u32, u32, usize)>> =
-            BinaryHeap::with_capacity(lambda + 1);
-        for (i, r) in readers.iter_mut().enumerate() {
-            if r.next_into(&mut heads[i])? {
-                heap.push(Reverse((heads[i][0], i as u32, i)));
+        // Keys pack (gid, value); schedule stream v carries value v.
+        let mut heap: BinaryHeap<Reverse<u64>> = BinaryHeap::with_capacity(lambda + 1);
+        for (v, r) in readers.iter_mut().enumerate() {
+            if r.next_into(&mut heads[v])? {
+                heap.push(Reverse(merge_key(heads[v][0], v as u32)));
             }
         }
-        let mut residue_pairs: Vec<(u32, u32)> = residue_rows
+        let mut residue_keys: Vec<u64> = residue_rows
             .iter()
-            .map(|&(_, _, gid, v)| (gid, v))
+            .map(|&(_, _, gid, v)| merge_key(gid, v))
             .collect();
-        residue_pairs.sort_unstable();
-        let mut res_iter = residue_pairs.iter().peekable();
-        if let Some(&&(gid, v)) = res_iter.peek() {
-            heap.push(Reverse((gid, v, lambda)));
+        residue_keys.sort_unstable();
+        let mut res_iter = residue_keys.iter().copied().peekable();
+        if let Some(&key) = res_iter.peek() {
+            heap.push(Reverse(key));
         }
 
         let mut w = SeqWriter::open_buffered(&mut st, st_codec, cfg, &pool, counter.clone(), 2)?;
         let mut out = vec![0u32; 3];
-        while let Some(Reverse((gid, v, i))) = heap.pop() {
+        while let Some(mut top) = heap.peek_mut() {
+            let key = top.0;
+            let (gid, v) = merge_key_parts(key);
             out[0] = gid;
             out[1] = v;
             out[2] = 1;
             w.push(&out)?;
-            if i == lambda {
+            // A residue joins a group outside its value's schedule, so no
+            // schedule stream holds its (gid, v): the key alone names the
+            // stream it came from.
+            let next = if res_iter.peek() == Some(&key) {
                 res_iter.next();
-                if let Some(&&(gid, v)) = res_iter.peek() {
-                    heap.push(Reverse((gid, v, lambda)));
+                res_iter.peek().copied()
+            } else if readers[v as usize].next_into(&mut heads[v as usize])? {
+                Some(merge_key(heads[v as usize][0], v))
+            } else {
+                None
+            };
+            match next {
+                Some(key) => top.0 = key,
+                None => {
+                    PeekMut::pop(top);
                 }
-            } else if readers[i].next_into(&mut heads[i])? {
-                heap.push(Reverse((heads[i][0], i as u32, i)));
             }
         }
         w.finish()?;
@@ -873,6 +906,42 @@ mod tests {
             (1.7..=2.3).contains(&ratio),
             "cost ratio {ratio} not ~2 ({c1} -> {c2})"
         );
+    }
+
+    mod properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// `raw` for picks 3 and up, else one of the edge values 0, λ (the
+        /// residue stream's run index at OCC's λ = 50) and `u32::MAX`.
+        fn edge_or(pick: u8, raw: u32) -> u32 {
+            match pick {
+                0 => 0,
+                1 => 50,
+                2 => u32::MAX,
+                _ => raw,
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+            /// Merge keys unpack to the pair they pack, and order exactly
+            /// as the `(hi, lo)` tuples the heaps ordered by before.
+            #[test]
+            fn merge_keys_round_trip_and_order_as_tuples(
+                picks in (0u8..6, 0u8..6, 0u8..6, 0u8..6),
+                raw in (0u32..=u32::MAX, 0u32..=u32::MAX, 0u32..=u32::MAX, 0u32..=u32::MAX),
+            ) {
+                let a = (edge_or(picks.0, raw.0), edge_or(picks.1, raw.1));
+                let b = (edge_or(picks.2, raw.2), edge_or(picks.3, raw.3));
+                prop_assert_eq!(merge_key_parts(merge_key(a.0, a.1)), a);
+                prop_assert_eq!(merge_key_parts(merge_key(b.0, b.1)), b);
+                prop_assert_eq!(merge_key(a.0, a.1).cmp(&merge_key(b.0, b.1)), a.cmp(&b));
+                // Shared halves: the order then rests on the other half alone.
+                prop_assert_eq!(merge_key(a.0, a.1).cmp(&merge_key(a.0, b.1)), a.1.cmp(&b.1));
+                prop_assert_eq!(merge_key(a.0, a.1).cmp(&merge_key(b.0, a.1)), a.0.cmp(&b.0));
+            }
+        }
     }
 
     #[test]

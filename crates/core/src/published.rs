@@ -210,11 +210,25 @@ impl AnatomizedTables {
                 group_ids.len()
             )));
         }
-        let m = group_ids.iter().map(|&g| g as usize + 1).max().unwrap_or(0);
-        let mut group_sizes = vec![0u32; m];
+        // Dense ids over n rows lie below n, so the size table is bounded
+        // by the row count rather than by the largest id. An id at or
+        // above n leaves some id below n without tuples (at most n − 1
+        // rows remain for the n ids below it), and the first such gap is
+        // the one reported.
+        let n = group_ids.len();
+        let mut group_sizes = vec![0u32; n];
+        let mut m = 0;
         for &g in &group_ids {
-            group_sizes[g as usize] += 1;
+            match group_sizes.get_mut(g as usize) {
+                Some(size) => {
+                    *size += 1;
+                    m = m.max(g as usize + 1);
+                }
+                None => m = n,
+            }
         }
+        group_sizes.truncate(m);
+        group_sizes.shrink_to_fit();
         if let Some(j) = group_sizes.iter().position(|&s| s == 0) {
             return Err(CoreError::InvalidPartition(format!(
                 "group ids are not dense: group {j} has no tuples"
