@@ -17,7 +17,7 @@
 //! severity, the pipeline [`Stage`]s that must preserve it, and the check
 //! function. Auditors, the CLI's `verify --list-checks`, the manifest
 //! `audit` block, and the CI smoke all enumerate [`REGISTRY`] — adding an
-//! invariant is one registration (see [`checks_incremental`] for the
+//! invariant is one registration (see the `checks_incremental` module for the
 //! worked example), not a sweep over consumers. The registered invariants:
 //!
 //! * **`qit_st_structure`** — Definitions 1 & 3: QIT group ids are dense,

@@ -10,7 +10,7 @@
 //! fault-injection matrix — all *enumerate* [`REGISTRY`] rather than
 //! keeping private copies of the check list, so a new invariant lands in
 //! every consumer by registration alone (see
-//! [`crate::checks_incremental`] for the worked example).
+//! the private `checks_incremental` module for the worked example).
 
 use crate::CheckOutcome;
 use anatomy_core::{AnatomizedTables, GroupId, StRecord};

@@ -13,7 +13,7 @@
 //!   `AnatomizedTables` must equal
 //!   `AnatomizedTables::publish(md, anatomize(md, cfg), l)` bit for bit;
 //! * **I/O** — the measured logical page bill must stay within 1.5× of
-//!   the closed-form `O(n/b)` model ([`anatomize_shard::model_pages`]),
+//!   the closed-form `O(n/b)` model ([`anatomy_core::model_pages`]),
 //!   in both directions: an overshoot means an extra pass crept in, an
 //!   undershoot means pages stopped being charged.
 //!

@@ -39,7 +39,7 @@ pub fn query_a(md: &Microdata) -> CountQuery {
 }
 
 /// The paper's Table-2 generalization of the example, in group-compressed
-/// form (group 1: ages [21,60]; group 2: ages [61,70]; both zips spanning
+/// form (group 1: ages \[21,60\]; group 2: ages \[61,70\]; both zips spanning
 /// the 11k–59k band; Sex exact per group).
 pub fn paper_generalization(md: &Microdata) -> GeneralizedTable {
     let p = tiny::paper_partition();

@@ -4,7 +4,7 @@
 //!
 //! 1. **Hash** the microdata file into one bucket file per sensitive value
 //!    (`O(n/b)` I/Os, `O(λ)` memory — one output buffer per bucket; the
-//!    [`anatomy_storage::hash_partition`] primitive transparently falls
+//!    [`fn@anatomy_storage::hash_partition`] primitive transparently falls
 //!    back to multi-pass partitioning if `λ + 1` exceeds the buffer
 //!    budget).
 //! 2. **Group creation** keeps the bucket sizes in memory (an `O(λ)`
@@ -50,7 +50,8 @@ pub struct ExternalAnatomizeOutput {
 }
 
 impl ExternalAnatomizeOutput {
-    /// Decode the QIT/ST files into validated [`AnatomizedTables`], so the
+    /// Decode the QIT/ST files into validated
+    /// [`AnatomizedTables`](crate::published::AnatomizedTables), so the
     /// external pipeline's output plugs straight into the adversary and
     /// query machinery. `qi_schema` describes the QI attributes (the
     /// microdata schema projected to its QI columns); `l` is the diversity
@@ -82,15 +83,14 @@ pub fn tables_from_files(
     let mut builder = anatomy_tables::TableBuilder::with_capacity(qi_schema, rows);
     let mut group_ids = Vec::with_capacity(rows);
     let mut reader = SeqReader::open(qit, U32RowCodec::new(d + 1), &pool, scratch.clone())?;
-    let mut rec = Vec::with_capacity(d + 1);
-    while reader.next_into(&mut rec)? {
+    while let Some(rec) = reader.next_row()? {
         builder.push_row(&rec[..d])?;
         group_ids.push(rec[d]);
     }
 
     let mut st = Vec::with_capacity(st_file.record_count());
     let mut reader = SeqReader::open(st_file, U32RowCodec::new(3), &pool, scratch)?;
-    while reader.next_into(&mut rec)? {
+    while let Some(rec) = reader.next_row()? {
         st.push(crate::published::StRecord {
             group: rec[0],
             value: anatomy_tables::Value(rec[1]),
@@ -176,7 +176,7 @@ pub fn anatomize_external(
     let mut group_file = SimFile::new();
     let mut groups = 0usize;
     {
-        let mut readers: Vec<Option<SeqReader<'_, U32RowCodec>>> = Vec::with_capacity(lambda);
+        let mut readers: Vec<Option<SeqReader<'_>>> = Vec::with_capacity(lambda);
         for b in &buckets {
             readers.push(if b.is_empty() {
                 None
@@ -209,11 +209,13 @@ pub fn anatomize_external(
                         "bucket {v} has no open reader during group creation"
                     )));
                 };
-                if !reader.next_into(&mut row)? {
+                let Some(tuple) = reader.next_row()? else {
                     return Err(CoreError::InvalidPartition(format!(
                         "bucket {v} exhausted early during group creation"
                     )));
-                }
+                };
+                row.clear();
+                row.extend_from_slice(tuple);
                 row.push(gid);
                 group_writer.push(&row)?;
                 remaining[v as usize] -= 1;
@@ -232,8 +234,8 @@ pub fn anatomize_external(
                     "bucket {v} has no open reader during residue collection"
                 )));
             };
-            while reader.next_into(&mut row)? {
-                residues.push(row.clone());
+            while let Some(tuple) = reader.next_row()? {
+                residues.push(tuple.to_vec());
             }
         }
         // Finish explicitly: a failed flush of the last partial page must
@@ -259,8 +261,8 @@ pub fn anatomize_external(
             let flush_group = |gid: u32,
                                group_values: &mut Vec<u32>,
                                assigned: &mut [bool],
-                               qit_writer: &mut SeqWriter<'_, U32RowCodec>,
-                               st_writer: &mut SeqWriter<'_, U32RowCodec>|
+                               qit_writer: &mut SeqWriter<'_>,
+                               st_writer: &mut SeqWriter<'_>|
              -> Result<(), anatomy_storage::StorageError> {
                 // Offer every unassigned residue to this group.
                 for (i, res) in residues.iter().enumerate() {
@@ -280,15 +282,14 @@ pub fn anatomize_external(
                 // ST count is 1. Emit in value order for determinism.
                 group_values.sort_unstable();
                 for &v in group_values.iter() {
-                    st_writer.push(&vec![gid, v, 1])?;
+                    st_writer.push(&[gid, v, 1])?;
                 }
                 group_values.clear();
                 Ok(())
             };
 
-            let mut rec: Vec<u32> = Vec::with_capacity(d + 2);
             let mut qrow: Vec<u32> = Vec::with_capacity(d + 1);
-            while reader.next_into(&mut rec)? {
+            while let Some(rec) = reader.next_row()? {
                 let gid = rec[d + 1];
                 if current_group != Some(gid) {
                     if let Some(prev) = current_group {

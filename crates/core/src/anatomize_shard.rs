@@ -8,8 +8,8 @@
 //! bucket *sizes*. The pipeline:
 //!
 //! 1. **`shard_partition`** — hash the input file into `S` shard files by
-//!    contiguous sensitive-value range with
-//!    [`hash_partition`](anatomy_storage::hash_partition).
+//!    contiguous sensitive-value range with [`fn@hash_partition`]. With
+//!    one shard the input already is that shard, and the pass is skipped.
 //! 2. **`bucket_split`** (concurrent on [`Pool::global`]) — each shard
 //!    splits into its per-value bucket files against its own
 //!    [`BufferPool`] and [`IoCounter`], so shards never contend for pages
@@ -27,12 +27,14 @@
 //!    writes.
 //! 5. **`residue_assign`** — replay the ≤ l−1 residue draws against the
 //!    schedule files.
-//! 6. **`qit_merge` / `st_merge`** — a λ-way merge restores the original
-//!    row order for the QIT and (group, value) order for the ST, again
-//!    with double-buffered output.
+//! 6. **`qit_merge` / `st_merge`** — restore the original row order for
+//!    the QIT and (group, value) order for the ST. Row ids are exactly
+//!    `0..n` and group ids exactly `0..m`, so each merge fills a window of
+//!    about one output page by direct index, reading the λ runs in turn:
+//!    no comparisons and no heap.
 //!
 //! Because steps 3–5 replay the exact RNG draw sequence of the in-memory
-//! [`anatomize`](crate::anatomize), the published QIT/ST are **bit-for-bit
+//! [`anatomize`](fn@crate::anatomize), the published QIT/ST are **bit-for-bit
 //! identical** to `AnatomizedTables::publish(md, anatomize(md, cfg), l)` —
 //! the differential oracle `tests/sharded_differential.rs` and the
 //! `bench_anatomize_external` identity gate pin this at every overlapping
@@ -57,12 +59,10 @@ use anatomy_tables::Microdata;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{RngExt, SeedableRng};
-use std::cmp::Reverse;
-use std::collections::binary_heap::PeekMut;
-use std::collections::BinaryHeap;
 
-/// Extra pages the budget reserves so the QIT/ST emitters can
-/// double-buffer: fill one page while the device drains the other.
+/// Extra pages the budget reserves beyond one page per sensitive value:
+/// the merges' output page and window, and the double-buffered writer of
+/// the assigned runs (fill one page while the device drains the other).
 pub const DOUBLE_BUFFER_SLACK: usize = 2;
 
 /// Configuration of the sharded engine: page geometry plus the shard
@@ -85,7 +85,7 @@ impl ShardConfig {
     /// A validated configuration. Errors with
     /// [`CoreError::InvalidShardConfig`] when `shards` is zero or
     /// `pages_per_shard` is below 3 (the minimum
-    /// [`hash_partition`](anatomy_storage::hash_partition) can work with:
+    /// [`fn@hash_partition`] can work with:
     /// one input page plus two output pages).
     pub fn new(page: PageConfig, shards: usize, pages_per_shard: usize) -> Result<Self, CoreError> {
         if shards == 0 {
@@ -141,8 +141,8 @@ impl ShardConfig {
     }
 
     /// Pages the widest phase of a run over a sensitive domain of
-    /// `lambda` values keeps resident: one schedule page per value during
-    /// the merges, one output writer, and the double-buffer slack.
+    /// `lambda` values keeps resident: one run or schedule page per value
+    /// during the merges, plus the output page and the merge window.
     pub fn required_budget(lambda: usize) -> usize {
         (lambda + DOUBLE_BUFFER_SLACK).max(4)
     }
@@ -190,7 +190,8 @@ impl ShardedAnatomizeOutput {
 ///
 /// Counts every sequential pass the pipeline makes (input → shards →
 /// buckets → schedule → assigned runs → QIT/ST), with one partial-page
-/// slack term per file opened. Assumes single-pass partitioning, i.e.
+/// slack term per file opened; with one shard there is no shard pass.
+/// Assumes single-pass partitioning, i.e.
 /// `pages_per_shard` of at least the widest shard's value count plus one;
 /// narrower budgets degrade gracefully to multi-pass splits whose extra
 /// passes the model does not include.
@@ -205,8 +206,9 @@ pub fn model_pages(n: usize, d: usize, lambda: usize, l: usize, shard: &ShardCon
     let sched = pages(n, 1);
     let qit = pages(n, d + 1);
     let st = pages(n, 3);
-    // shard_partition: read the input once, write S shard files.
-    let shard_partition = input + (input + s);
+    // shard_partition: read the input once, write S shard files; one
+    // shard is the input itself.
+    let shard_partition = if s == 1 { 0 } else { input + (input + s) };
     // bucket_split: read the shards, write λ bucket files.
     let bucket_split = (input + s) + (input + lam);
     // group_schedule: write λ per-value schedule files.
@@ -222,17 +224,6 @@ pub fn model_pages(n: usize, d: usize, lambda: usize, l: usize, shard: &ShardCon
     // st_merge: read the schedule files again, write the ST.
     let st_merge = (sched + lam) + (st + 1);
     shard_partition + bucket_split + group_schedule + bucket_assign + residue + qit_merge + st_merge
-}
-
-/// A merge-heap key: `hi` in the upper 32 bits and `lo` in the lower, so
-/// keys order exactly as the `(hi, lo)` pairs they pack.
-fn merge_key(hi: u32, lo: u32) -> u64 {
-    (hi as u64) << 32 | lo as u64
-}
-
-/// The `(hi, lo)` pair a [`merge_key`] packs.
-fn merge_key_parts(key: u64) -> (u32, u32) {
-    ((key >> 32) as u32, key as u32)
 }
 
 /// Serialize `md` into `(qi_1, …, qi_d, s, row_id)` records without
@@ -345,17 +336,24 @@ pub fn anatomize_sharded(
     let range_lo = |s: usize| -> usize { (s * lambda).div_ceil(s_count) };
     let shard_files = {
         let _phase = obs.span("shard_partition");
-        hash_partition(
-            &input,
-            tuple_codec,
-            |rec| (rec[d] as usize * s_count / lambda) as u32,
-            s_count,
-            cfg,
-            &pool,
-            counter,
-        )?
+        if s_count == 1 {
+            // The one shard is the whole input: split it directly rather
+            // than copy it page for page.
+            vec![input]
+        } else {
+            let shards = hash_partition(
+                &input,
+                tuple_codec,
+                |rec| (rec[d] as usize * s_count / lambda) as u32,
+                s_count,
+                cfg,
+                &pool,
+                counter,
+            )?;
+            drop(input);
+            shards
+        }
     };
-    drop(input);
 
     // ---- Phase 2: split each shard into per-value buckets, concurrently
     // on the global pool. Each shard gets its own page budget and its own
@@ -401,20 +399,18 @@ pub fn anatomize_sharded(
     let mut sched_files: Vec<SimFile> = (0..lambda).map(|_| SimFile::new()).collect();
     let outcome = {
         let _phase = obs.span("group_schedule");
-        let mut writers: Vec<SeqWriter<'_, U32RowCodec>> = sched_files
+        let mut writers: Vec<SeqWriter<'_>> = sched_files
             .iter_mut()
             .map(|f| SeqWriter::open(f, sched_codec, cfg, &pool, counter.clone()))
             .collect::<Result<_, _>>()?;
         let mut gid = 0u32;
-        let mut rec = vec![0u32; 1];
         let mut write_err: Option<anatomy_storage::StorageError> = None;
         let emit = |drawn: &[u32]| {
             if write_err.is_some() {
                 return;
             }
-            rec[0] = gid;
             for &v in drawn {
-                if let Err(e) = writers[v as usize].push(&rec) {
+                if let Err(e) = writers[v as usize].push(&[gid]) {
                     write_err = Some(e);
                     return;
                 }
@@ -442,15 +438,13 @@ pub fn anatomize_sharded(
     // 0..s_v reproduces the exact draw stream.
     let mut rng = StdRng::seed_from_u64(config.seed);
     let mut assigned_files: Vec<SimFile> = (0..lambda).map(|_| SimFile::new()).collect();
-    // Residue tuples per value, in pop order: (row_id, qi codes). At most
-    // l − 1 across all values (Property 1).
-    let mut residues: Vec<Vec<(u32, Vec<u32>)>> = vec![Vec::new(); lambda];
-    // One decoded row per file kind, reused by every scan of phases 4-5.
-    let mut sched_rec: Vec<u32> = Vec::with_capacity(1);
+    // Residue tuples per value, in pop order, as run records
+    // (row_id, qi…, gid) whose gid is filled in by phase 5. At most l − 1
+    // across all values (Property 1).
+    let mut residues: Vec<Vec<Vec<u32>>> = vec![Vec::new(); lambda];
     {
         let _phase = obs.span("bucket_assign");
         let prefetch = budget.saturating_sub(4).clamp(1, 8);
-        let mut rec: Vec<u32> = Vec::with_capacity(d + 2);
         for v in 0..lambda {
             let s_v = counts[v];
             let mut perm: Vec<u32> = (0..s_v as u32).collect();
@@ -464,8 +458,8 @@ pub fn anatomize_sharded(
                 let mut reader =
                     SeqReader::open(&sched_files[v], sched_codec, &pool, counter.clone())?;
                 let mut k = 0usize;
-                while reader.next_into(&mut sched_rec)? {
-                    gid_of_pos[perm[s_v - 1 - k] as usize] = sched_rec[0];
+                while let Some(rec) = reader.next_row()? {
+                    gid_of_pos[perm[s_v - 1 - k] as usize] = rec[0];
                     k += 1;
                 }
             }
@@ -476,7 +470,7 @@ pub fn anatomize_sharded(
                 .collect();
             drop(perm);
 
-            let mut stash: Vec<Option<(u32, Vec<u32>)>> = vec![None; resid_pos.len()];
+            let mut stash: Vec<Option<Vec<u32>>> = vec![None; resid_pos.len()];
             {
                 let mut reader = SeqReader::open_with_prefetch(
                     &bucket_files[v],
@@ -495,16 +489,16 @@ pub fn anatomize_sharded(
                 )?;
                 let mut out = vec![0u32; d + 2];
                 let mut p = 0usize;
-                while reader.next_into(&mut rec)? {
+                while let Some(rec) = reader.next_row()? {
                     let gid = *gid_of_pos.get(p).ok_or_else(|| {
                         CoreError::InvalidPartition(format!(
                             "bucket {v} holds more records than its metadata promised"
                         ))
                     })?;
+                    out[0] = rec[d + 1];
+                    out[1..=d].copy_from_slice(&rec[..d]);
+                    out[d + 1] = gid;
                     if gid != u32::MAX {
-                        out[0] = rec[d + 1];
-                        out[1..=d].copy_from_slice(&rec[..d]);
-                        out[d + 1] = gid;
                         w.push(&out)?;
                     } else {
                         let j =
@@ -516,7 +510,7 @@ pub fn anatomize_sharded(
                                         "bucket {v}: position {p} is neither drawn nor residual"
                                     ))
                                 })?;
-                        stash[j] = Some((rec[d + 1], rec[..d].to_vec()));
+                        stash[j] = Some(out.clone());
                     }
                     p += 1;
                 }
@@ -543,7 +537,7 @@ pub fn anatomize_sharded(
     // Visit order comes from the schedule; candidate lists are replayed
     // against the per-value schedule files exactly as the in-memory
     // engine maintains them (built once per value, shrunk per pick).
-    let mut residue_rows: Vec<(u32, Vec<u32>, u32, u32)> = Vec::new();
+    let mut residue_rows: Vec<Residue> = Vec::new();
     {
         let _phase = obs.span("residue_assign");
         for &v in &outcome.residual {
@@ -555,13 +549,13 @@ pub fn anatomize_sharded(
                 let file = &sched_files[v as usize];
                 let mut reader = SeqReader::open(file, sched_codec, &pool, counter.clone())?;
                 let mut sched = Vec::with_capacity(file.record_count());
-                while reader.next_into(&mut sched_rec)? {
-                    sched.push(sched_rec[0]);
+                while let Some(rec) = reader.next_row()? {
+                    sched.push(rec[0]);
                 }
                 sched
             };
             let mut picked: Vec<u32> = Vec::new();
-            for (row, qi) in pending {
+            for mut record in pending {
                 let available = m - sched.len() - picked.len();
                 if available == 0 {
                     return Err(CoreError::ResidueUnassignable { sensitive_code: v });
@@ -573,131 +567,30 @@ pub fn anatomize_sharded(
                     ))
                 })?;
                 picked.push(gid);
-                residue_rows.push((row, qi, gid, v));
+                record[d + 1] = gid;
+                residue_rows.push(Residue { record, value: v });
             }
         }
     }
 
-    // ---- Phase 6: λ-way merge back to original row order (QIT). ----
-    // Each assigned run ascends in row id (the partition passes preserve
-    // input order), so a heap merge over λ runs plus the in-memory
-    // residues restores the microdata's row order exactly.
-    let qit_codec = U32RowCodec::new(d + 1);
-    let mut qit = SimFile::new();
-    {
+    // ---- Phase 6: back to original row order (QIT). ----
+    let qit = {
         let _phase = obs.span("qit_merge");
-        let mut readers: Vec<SeqReader<'_, U32RowCodec>> = assigned_files
-            .iter()
-            .map(|f| SeqReader::open(f, tuple_codec, &pool, counter.clone()))
-            .collect::<Result<_, _>>()?;
-        // Each run's head record, decoded in place; a run is in the heap
-        // exactly while its head holds a record. Keys pack (row id, run).
-        let mut heads: Vec<Vec<u32>> = vec![Vec::with_capacity(d + 2); lambda];
-        let mut heap: BinaryHeap<Reverse<u64>> = BinaryHeap::with_capacity(lambda + 1);
-        for (i, r) in readers.iter_mut().enumerate() {
-            if r.next_into(&mut heads[i])? {
-                heap.push(Reverse(merge_key(heads[i][0], i as u32)));
-            }
-        }
-        residue_rows.sort_unstable_by_key(|t| t.0);
-        let mut res_iter = residue_rows.iter().peekable();
-        if let Some(t) = res_iter.peek() {
-            heap.push(Reverse(merge_key(t.0, lambda as u32)));
-        }
-
-        let mut w = SeqWriter::open_buffered(&mut qit, qit_codec, cfg, &pool, counter.clone(), 2)?;
-        let mut out = vec![0u32; d + 1];
-        while let Some(mut top) = heap.peek_mut() {
-            let run = merge_key_parts(top.0).1;
-            let i = run as usize;
-            let next_row = if i == lambda {
-                let (_, qi, gid, _) = res_iter.next().expect("peeked residue stream");
-                out[..d].copy_from_slice(qi);
-                out[d] = *gid;
-                w.push(&out)?;
-                res_iter.peek().map(|t| t.0)
-            } else {
-                let rec = &heads[i];
-                out[..d].copy_from_slice(&rec[1..=d]);
-                out[d] = rec[d + 1];
-                w.push(&out)?;
-                if readers[i].next_into(&mut heads[i])? {
-                    Some(heads[i][0])
-                } else {
-                    None
-                }
-            };
-            // The run's next head replaces the top with one sift-down; an
-            // exhausted run leaves the heap.
-            match next_row {
-                Some(row) => top.0 = merge_key(row, run),
-                None => {
-                    PeekMut::pop(top);
-                }
-            }
-        }
-        w.finish()?;
-    }
+        residue_rows.sort_unstable_by_key(|r| r.record[0]);
+        qit_merge(&assigned_files, &residue_rows, n, d, cfg, &pool, counter)?
+    };
     drop(assigned_files);
 
-    // ---- Phase 7: λ-way merge to (group, value) order (ST). ----
-    // Schedule file v is an ascending gid stream of (gid, v) pairs; all
-    // counts are 1 (group values are distinct, Property 3).
-    let st_codec = U32RowCodec::new(3);
-    let mut st = SimFile::new();
-    {
+    // ---- Phase 7: to (group, value) order (ST). ----
+    let st = {
         let _phase = obs.span("st_merge");
-        let mut readers: Vec<SeqReader<'_, U32RowCodec>> = sched_files
+        let mut residue_keys: Vec<(u32, u32)> = residue_rows
             .iter()
-            .map(|f| SeqReader::open(f, sched_codec, &pool, counter.clone()))
-            .collect::<Result<_, _>>()?;
-        let mut heads: Vec<Vec<u32>> = vec![Vec::with_capacity(1); lambda];
-        // Keys pack (gid, value); schedule stream v carries value v.
-        let mut heap: BinaryHeap<Reverse<u64>> = BinaryHeap::with_capacity(lambda + 1);
-        for (v, r) in readers.iter_mut().enumerate() {
-            if r.next_into(&mut heads[v])? {
-                heap.push(Reverse(merge_key(heads[v][0], v as u32)));
-            }
-        }
-        let mut residue_keys: Vec<u64> = residue_rows
-            .iter()
-            .map(|&(_, _, gid, v)| merge_key(gid, v))
+            .map(|r| (r.record[d + 1], r.value))
             .collect();
         residue_keys.sort_unstable();
-        let mut res_iter = residue_keys.iter().copied().peekable();
-        if let Some(&key) = res_iter.peek() {
-            heap.push(Reverse(key));
-        }
-
-        let mut w = SeqWriter::open_buffered(&mut st, st_codec, cfg, &pool, counter.clone(), 2)?;
-        let mut out = vec![0u32; 3];
-        while let Some(mut top) = heap.peek_mut() {
-            let key = top.0;
-            let (gid, v) = merge_key_parts(key);
-            out[0] = gid;
-            out[1] = v;
-            out[2] = 1;
-            w.push(&out)?;
-            // A residue joins a group outside its value's schedule, so no
-            // schedule stream holds its (gid, v): the key alone names the
-            // stream it came from.
-            let next = if res_iter.peek() == Some(&key) {
-                res_iter.next();
-                res_iter.peek().copied()
-            } else if readers[v as usize].next_into(&mut heads[v as usize])? {
-                Some(merge_key(heads[v as usize][0], v))
-            } else {
-                None
-            };
-            match next {
-                Some(key) => top.0 = key,
-                None => {
-                    PeekMut::pop(top);
-                }
-            }
-        }
-        w.finish()?;
-    }
+        st_merge(&sched_files, &residue_keys, m, l, cfg, &pool, counter)?
+    };
 
     obs.counter("core.sharded_runs").incr();
     obs.counter("core.rows_anatomized_sharded").add(n as u64);
@@ -715,6 +608,218 @@ pub fn anatomize_sharded(
         stats,
         shard_stats,
     })
+}
+
+/// A residue tuple after phase 5: its run record `(row_id, qi…, gid)` and
+/// its sensitive value.
+struct Residue {
+    record: Vec<u32>,
+    value: u32,
+}
+
+/// Phase 6: the QIT `(qi…, gid)` in the microdata's row order.
+///
+/// Each run holds run records `(row_id, qi…, gid)` ascending in row id
+/// (the partition passes keep input order), and the runs and `residues`
+/// (ascending in row id) hold every row id of `0..n` exactly once. So
+/// the QIT is filled one window of an output page's rows at a time, each
+/// record copied straight to slot `row_id − window start`. A row id that
+/// repeats, that nothing holds, or that is `n` or more is an
+/// [`CoreError::InvalidPartition`] naming the row.
+///
+/// Leases a page per run, the output page and the window's page.
+fn qit_merge(
+    runs: &[SimFile],
+    residues: &[Residue],
+    n: usize,
+    d: usize,
+    cfg: PageConfig,
+    pool: &BufferPool,
+    counter: &IoCounter,
+) -> Result<SimFile, CoreError> {
+    let qit_codec = U32RowCodec::new(d + 1);
+    let mut readers: Vec<SeqReader<'_>> = runs
+        .iter()
+        .map(|f| SeqReader::open(f, U32RowCodec::new(d + 2), pool, counter.clone()))
+        .collect::<Result<_, _>>()?;
+    let mut qit = SimFile::new();
+    let mut w = SeqWriter::open(&mut qit, qit_codec, cfg, pool, counter.clone())?;
+    let _window_page = pool.try_lease(1)?;
+    let rows_per_window = cfg.records_per_page(qit_codec.record_len())?;
+    let mut slots = vec![0u32; rows_per_window * (d + 1)];
+    let mut filled = vec![false; rows_per_window];
+    // Each run's next record, held while it belongs to a later window;
+    // empty once the run is exhausted.
+    let mut heads: Vec<Vec<u32>> = readers
+        .iter_mut()
+        .map(|r| Ok(r.next_row()?.map(<[u32]>::to_vec).unwrap_or_default()))
+        .collect::<Result<_, CoreError>>()?;
+    let mut pending = residues.iter().peekable();
+    for lo in (0..n).step_by(rows_per_window) {
+        let hi = (lo + rows_per_window).min(n);
+        for (reader, head) in readers.iter_mut().zip(&mut heads) {
+            if head.is_empty() || head[0] as usize >= hi {
+                continue;
+            }
+            place_row(head, lo, &mut slots, &mut filled)?;
+            loop {
+                match reader.next_row()? {
+                    Some(rec) if (rec[0] as usize) < hi => {
+                        place_row(rec, lo, &mut slots, &mut filled)?;
+                    }
+                    Some(rec) => {
+                        head.copy_from_slice(rec);
+                        break;
+                    }
+                    None => {
+                        head.clear();
+                        break;
+                    }
+                }
+            }
+        }
+        while let Some(r) = pending.next_if(|r| (r.record[0] as usize) < hi) {
+            place_row(&r.record, lo, &mut slots, &mut filled)?;
+        }
+        for (j, slot) in slots.chunks_exact(d + 1).take(hi - lo).enumerate() {
+            if !std::mem::take(&mut filled[j]) {
+                return Err(CoreError::InvalidPartition(format!(
+                    "QIT merge: row {} is in no run",
+                    lo + j
+                )));
+            }
+            w.push(slot)?;
+        }
+    }
+    // Anything left over names a row past the last window.
+    let left = heads.iter().find(|h| !h.is_empty()).map(|h| h[0]);
+    if let Some(row) = left.or_else(|| pending.next().map(|r| r.record[0])) {
+        return Err(CoreError::InvalidPartition(format!(
+            "QIT merge: row id {row} is outside 0..{n}"
+        )));
+    }
+    w.finish()?;
+    Ok(qit)
+}
+
+/// Copy run record `rec` = `(row_id, qi…, gid)` into its slot of the
+/// window that starts at row `lo`; the caller has checked that the row
+/// lies below the window's end.
+fn place_row(
+    rec: &[u32],
+    lo: usize,
+    slots: &mut [u32],
+    filled: &mut [bool],
+) -> Result<(), CoreError> {
+    let row = rec[0] as usize;
+    // A row below the window belongs to one already complete.
+    let Some(j) = row.checked_sub(lo).filter(|&j| !filled[j]) else {
+        return Err(CoreError::InvalidPartition(format!(
+            "QIT merge: row {row} appears more than once"
+        )));
+    };
+    filled[j] = true;
+    let width = rec.len() - 1;
+    slots[j * width..(j + 1) * width].copy_from_slice(&rec[1..]);
+    Ok(())
+}
+
+/// Phase 7: the ST `(gid, value, 1)` in (group, value) order.
+///
+/// Schedule file `v` lists, ascending, the groups value `v` joins, and
+/// each group of `0..m` is scheduled exactly `l` values. Visiting the
+/// schedules in value order therefore appends each group's values in
+/// ascending order, so the ST is filled one window of groups (about an
+/// output page of records) at a time by direct index. `residues` are
+/// ascending `(gid, value)` pairs; each is inserted among its group's
+/// scheduled values as the group is written. A schedule that names a
+/// group twice, out of order or outside `0..m`, and a group with more or
+/// fewer than `l` scheduled values, are an
+/// [`CoreError::InvalidPartition`] naming the group.
+///
+/// Leases a page per schedule, the output page and the window's page.
+fn st_merge(
+    schedules: &[SimFile],
+    residues: &[(u32, u32)],
+    m: usize,
+    l: usize,
+    cfg: PageConfig,
+    pool: &BufferPool,
+    counter: &IoCounter,
+) -> Result<SimFile, CoreError> {
+    let st_codec = U32RowCodec::new(3);
+    let mut readers: Vec<SeqReader<'_>> = schedules
+        .iter()
+        .map(|f| SeqReader::open(f, U32RowCodec::new(1), pool, counter.clone()))
+        .collect::<Result<_, _>>()?;
+    let mut st = SimFile::new();
+    let mut w = SeqWriter::open(&mut st, st_codec, cfg, pool, counter.clone())?;
+    let _window_page = pool.try_lease(1)?;
+    let groups_per_window = (cfg.records_per_page(st_codec.record_len())? / l).max(1);
+    // Group `lo + j`'s scheduled values are values[j·l..(j+1)·l], the
+    // first filled[j] of them placed so far.
+    let mut values = vec![0u32; groups_per_window * l];
+    let mut filled = vec![0usize; groups_per_window];
+    // Each schedule's next group id; None once it is exhausted.
+    let mut heads: Vec<Option<u32>> = readers
+        .iter_mut()
+        .map(|r| Ok(r.next_row()?.map(|rec| rec[0])))
+        .collect::<Result<_, CoreError>>()?;
+    let mut pending = residues.iter().peekable();
+    for lo in (0..m).step_by(groups_per_window) {
+        let hi = (lo + groups_per_window).min(m);
+        for (v, (reader, head)) in readers.iter_mut().zip(&mut heads).enumerate() {
+            while let Some(gid) = head.filter(|&g| (g as usize) < hi) {
+                let Some(j) = (gid as usize).checked_sub(lo) else {
+                    return Err(CoreError::InvalidPartition(format!(
+                        "ST merge: the schedule of value {v} names group {gid} out of order"
+                    )));
+                };
+                let placed = filled[j];
+                if placed == l {
+                    return Err(CoreError::InvalidPartition(format!(
+                        "ST merge: group {gid} is scheduled more than {l} values"
+                    )));
+                }
+                if placed > 0 && values[j * l + placed - 1] == v as u32 {
+                    return Err(CoreError::InvalidPartition(format!(
+                        "ST merge: group {gid} is scheduled value {v} twice"
+                    )));
+                }
+                values[j * l + placed] = v as u32;
+                filled[j] = placed + 1;
+                *head = reader.next_row()?.map(|rec| rec[0]);
+            }
+        }
+        for (j, scheduled) in values.chunks_exact(l).take(hi - lo).enumerate() {
+            let gid = (lo + j) as u32;
+            let placed = std::mem::take(&mut filled[j]);
+            if placed != l {
+                return Err(CoreError::InvalidPartition(format!(
+                    "ST merge: group {gid} has {placed} scheduled values instead of l = {l}"
+                )));
+            }
+            let mut scheduled = scheduled.iter().copied().peekable();
+            while let Some(&(_, value)) = pending.next_if(|&&(g, _)| g == gid) {
+                while let Some(v) = scheduled.next_if(|&v| v < value) {
+                    w.push(&[gid, v, 1])?;
+                }
+                w.push(&[gid, value, 1])?;
+            }
+            for v in scheduled {
+                w.push(&[gid, v, 1])?;
+            }
+        }
+    }
+    // Anything left over names a group past the last window.
+    let left = heads.iter().flatten().next().copied();
+    if let Some(gid) = left.or_else(|| pending.next().map(|&(g, _)| g)) {
+        return Err(CoreError::InvalidPartition(format!(
+            "ST merge: group {gid} is outside 0..{m}"
+        )));
+    }
+    w.finish()?;
+    Ok(st)
 }
 
 #[cfg(test)]
@@ -908,42 +1013,6 @@ mod tests {
         );
     }
 
-    mod properties {
-        use super::*;
-        use proptest::prelude::*;
-
-        /// `raw` for picks 3 and up, else one of the edge values 0, λ (the
-        /// residue stream's run index at OCC's λ = 50) and `u32::MAX`.
-        fn edge_or(pick: u8, raw: u32) -> u32 {
-            match pick {
-                0 => 0,
-                1 => 50,
-                2 => u32::MAX,
-                _ => raw,
-            }
-        }
-
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(512))]
-            /// Merge keys unpack to the pair they pack, and order exactly
-            /// as the `(hi, lo)` tuples the heaps ordered by before.
-            #[test]
-            fn merge_keys_round_trip_and_order_as_tuples(
-                picks in (0u8..6, 0u8..6, 0u8..6, 0u8..6),
-                raw in (0u32..=u32::MAX, 0u32..=u32::MAX, 0u32..=u32::MAX, 0u32..=u32::MAX),
-            ) {
-                let a = (edge_or(picks.0, raw.0), edge_or(picks.1, raw.1));
-                let b = (edge_or(picks.2, raw.2), edge_or(picks.3, raw.3));
-                prop_assert_eq!(merge_key_parts(merge_key(a.0, a.1)), a);
-                prop_assert_eq!(merge_key_parts(merge_key(b.0, b.1)), b);
-                prop_assert_eq!(merge_key(a.0, a.1).cmp(&merge_key(b.0, b.1)), a.cmp(&b));
-                // Shared halves: the order then rests on the other half alone.
-                prop_assert_eq!(merge_key(a.0, a.1).cmp(&merge_key(a.0, b.1)), a.1.cmp(&b.1));
-                prop_assert_eq!(merge_key(a.0, a.1).cmp(&merge_key(b.0, a.1)), a.0.cmp(&b.0));
-            }
-        }
-    }
-
     #[test]
     fn pool_pages_all_return() {
         // No leaked leases: every phase returns its pages.
@@ -966,5 +1035,293 @@ mod tests {
             &counter,
         )
         .unwrap();
+    }
+
+    /// Per group, the values the ladder schedules for it and the residue
+    /// values the in-memory engine adds on top.
+    fn scheduled_and_residues(
+        md: &Microdata,
+        config: &AnatomizeConfig,
+    ) -> Vec<(Vec<u32>, Vec<u32>)> {
+        let counts: Vec<usize> = (0..md.sensitive_domain_size())
+            .map(|v| md.sensitive_codes().iter().filter(|&&c| c == v).count())
+            .collect();
+        let mut groups: Vec<(Vec<u32>, Vec<u32>)> = Vec::new();
+        ladder_schedule(&counts, config.l, |drawn| {
+            let mut drawn = drawn.to_vec();
+            drawn.sort_unstable();
+            groups.push((drawn, Vec::new()));
+        });
+        for rec in oracle(md, config).st_records() {
+            let (scheduled, residues) = &mut groups[rec.group as usize];
+            if !scheduled.contains(&rec.value.0) {
+                residues.push(rec.value.0);
+            }
+        }
+        groups
+    }
+
+    /// 15 rows over six values at l = 4: three groups and three residues,
+    /// which at every seed below include one whose value sorts between two
+    /// of its group's scheduled values.
+    fn interleaved_residues() -> Microdata {
+        let codes = [0, 0, 4, 4, 5, 5, 0, 1, 1, 2, 3, 3, 1, 4, 2];
+        let tuples: Vec<(u32, u32)> = codes
+            .iter()
+            .enumerate()
+            .map(|(i, &s)| (i as u32, s))
+            .collect();
+        md_from(&tuples, 20, 6)
+    }
+
+    /// Whether some group takes a residue that sorts strictly between
+    /// its smallest and largest scheduled values.
+    fn has_residue_between(groups: &[(Vec<u32>, Vec<u32>)]) -> bool {
+        groups.iter().any(|(scheduled, residues)| {
+            let (lo, hi) = (scheduled[0], scheduled[scheduled.len() - 1]);
+            residues.iter().any(|&r| lo < r && r < hi)
+        })
+    }
+
+    #[test]
+    fn a_residue_between_scheduled_values_matches_in_memory() {
+        let md = interleaved_residues();
+        for seed in 0..4u64 {
+            let config = AnatomizeConfig::new(4).with_seed(seed);
+            assert!(has_residue_between(&scheduled_and_residues(&md, &config)));
+            // 64-byte pages: 8-row QIT windows, one group per ST window.
+            let out =
+                anatomize_sharded(&md, &config, &shard_cfg(64, 2, 6), &IoCounter::new()).unwrap();
+            let qi_schema = md.table().schema().project(&[0]).unwrap();
+            let tables = out.into_tables(qi_schema, 4).unwrap();
+            assert_eq!(tables, oracle(&md, &config), "seed={seed}");
+        }
+    }
+
+    #[test]
+    fn two_residues_in_one_group_match_in_memory() {
+        let md = interleaved_residues();
+        // Seed 1 sends residues 3 and 4 to the group scheduled
+        // {0, 1, 2, 5}: both go between its scheduled values.
+        let config = AnatomizeConfig::new(4).with_seed(1);
+        let groups = scheduled_and_residues(&md, &config);
+        assert!(
+            groups.iter().any(|(_, residues)| residues.len() == 2),
+            "{groups:?}"
+        );
+        let out = anatomize_sharded(&md, &config, &shard_cfg(64, 2, 6), &IoCounter::new()).unwrap();
+        let qi_schema = md.table().schema().project(&[0]).unwrap();
+        assert_eq!(out.into_tables(qi_schema, 4).unwrap(), oracle(&md, &config));
+    }
+
+    #[test]
+    fn one_shard_splits_the_staged_input_without_a_copy() {
+        let n = 6000usize;
+        let tuples: Vec<(u32, u32)> = (0..n).map(|i| (i as u32 % 900, i as u32 % 10)).collect();
+        let md = md_from(&tuples, 900, 10);
+        let config = AnatomizeConfig::new(5);
+        let shard = shard_cfg(256, 1, 16);
+        let out = anatomize_sharded(&md, &config, &shard, &IoCounter::new()).unwrap();
+        let qi_schema = md.table().schema().project(&[0]).unwrap();
+        assert_eq!(out.into_tables(qi_schema, 5).unwrap(), oracle(&md, &config));
+        // The bill of this run while a one-shard run still copied the
+        // staged input into its shard: a read and a write of ⌈n/b⌉ pages.
+        const WITH_COPY_PASS: u64 = 2792;
+        let staged = shard.page().pages_for(n, 3 * 4).unwrap() as u64;
+        assert_eq!(out.stats.total(), WITH_COPY_PASS - 2 * staged);
+        let model = model_pages(n, 1, 10, 5, &shard);
+        let measured = out.stats.total() as f64;
+        assert!(
+            measured <= model as f64 * 1.5 && measured >= model as f64 / 1.5,
+            "measured {measured} vs model {model}"
+        );
+        assert_eq!(out.shard_stats.len(), 1);
+    }
+
+    /// A file of `rows` on 64-byte pages.
+    fn file_of(rows: &[Vec<u32>], arity: usize) -> SimFile {
+        let mut file = SimFile::new();
+        let mut w = SeqWriter::open(
+            &mut file,
+            U32RowCodec::new(arity),
+            PageConfig::with_page_size(64),
+            &BufferPool::unbounded(),
+            IoCounter::new(),
+        )
+        .unwrap();
+        for row in rows {
+            w.push(row).unwrap();
+        }
+        w.finish().unwrap();
+        file
+    }
+
+    /// Run records `(row_id, qi, gid)` for the given row ids (d = 1): the
+    /// QI code is 100 + row, the group row / 2.
+    fn run_of(rows: &[u32]) -> Vec<Vec<u32>> {
+        rows.iter().map(|&r| vec![r, 100 + r, r / 2]).collect()
+    }
+
+    /// The QIT merge of `runs` and `residues` over `n` rows (d = 1) on
+    /// 64-byte pages: eight rows per window.
+    fn merge_qit(runs: &[Vec<Vec<u32>>], residues: &[u32], n: usize) -> Result<SimFile, CoreError> {
+        let files: Vec<SimFile> = runs.iter().map(|r| file_of(r, 3)).collect();
+        let residues: Vec<Residue> = run_of(residues)
+            .into_iter()
+            .map(|record| Residue { record, value: 0 })
+            .collect();
+        let cfg = PageConfig::with_page_size(64);
+        qit_merge(
+            &files,
+            &residues,
+            n,
+            1,
+            cfg,
+            &BufferPool::unbounded(),
+            &IoCounter::new(),
+        )
+    }
+
+    fn read_all(file: &SimFile, arity: usize) -> Vec<Vec<u32>> {
+        let reader = SeqReader::open(
+            file,
+            U32RowCodec::new(arity),
+            &BufferPool::unbounded(),
+            IoCounter::new(),
+        )
+        .unwrap();
+        reader.map(Result::unwrap).collect()
+    }
+
+    /// The message of an `InvalidPartition`, or a panic naming what came
+    /// back instead.
+    fn invalid(result: Result<SimFile, CoreError>) -> String {
+        match result {
+            Err(CoreError::InvalidPartition(msg)) => msg,
+            other => panic!("expected InvalidPartition, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn qit_merge_restores_row_order_across_windows() {
+        let evens: Vec<u32> = (0..20).step_by(2).collect();
+        let odds: Vec<u32> = (1..20).step_by(2).filter(|&r| r != 9).collect();
+        let qit = merge_qit(&[run_of(&evens), run_of(&odds)], &[9], 20).unwrap();
+        let expected: Vec<Vec<u32>> = (0..20).map(|r| vec![100 + r, r / 2]).collect();
+        assert_eq!(read_all(&qit, 2), expected);
+    }
+
+    #[test]
+    fn qit_merge_refuses_a_repeated_row() {
+        let odds: Vec<u32> = (1..12).step_by(2).collect();
+        // Row 5 in two runs, in one run twice, and as a residue.
+        let twice = [0, 2, 4, 5, 6, 8, 10];
+        let msg = invalid(merge_qit(&[run_of(&twice), run_of(&odds)], &[], 12));
+        assert!(msg.contains("row 5 appears more than once"), "{msg}");
+        let within = [0, 1, 2, 3, 4, 5, 5, 6, 7, 8, 9, 10, 11];
+        let msg = invalid(merge_qit(&[run_of(&within)], &[], 12));
+        assert!(msg.contains("row 5 appears more than once"), "{msg}");
+        let evens: Vec<u32> = (0..12).step_by(2).collect();
+        let msg = invalid(merge_qit(&[run_of(&evens), run_of(&odds)], &[5], 12));
+        assert!(msg.contains("row 5 appears more than once"), "{msg}");
+        // A repeat whose first copy sits in an earlier, complete window.
+        let late = [1, 3, 5, 7, 9, 10, 11];
+        let early = [0, 2, 4, 6, 8, 3];
+        let msg = invalid(merge_qit(&[run_of(&early), run_of(&late)], &[], 12));
+        assert!(msg.contains("row 3 appears more than once"), "{msg}");
+    }
+
+    #[test]
+    fn qit_merge_refuses_a_row_in_no_run() {
+        let evens: Vec<u32> = (0..12).step_by(2).collect();
+        let odds: Vec<u32> = (1..12).step_by(2).filter(|&r| r != 9).collect();
+        let msg = invalid(merge_qit(&[run_of(&evens), run_of(&odds)], &[], 12));
+        assert!(msg.contains("row 9 is in no run"), "{msg}");
+    }
+
+    #[test]
+    fn qit_merge_refuses_a_row_id_past_n() {
+        let evens: Vec<u32> = (0..12).step_by(2).collect();
+        let odds: Vec<u32> = (1..12).step_by(2).collect();
+        let mut past = odds.clone();
+        past.push(12);
+        let msg = invalid(merge_qit(&[run_of(&evens), run_of(&past)], &[], 12));
+        assert!(msg.contains("row id 12 is outside 0..12"), "{msg}");
+        let msg = invalid(merge_qit(&[run_of(&evens), run_of(&odds)], &[40], 12));
+        assert!(msg.contains("row id 40 is outside 0..12"), "{msg}");
+    }
+
+    /// The ST merge of per-value schedules (schedule `v` is value `v`'s
+    /// ascending group ids) and `(gid, value)` residues over `m` groups of
+    /// `l` scheduled values, on 64-byte pages: five records a page, so two
+    /// groups per window at l = 2.
+    fn merge_st(
+        schedules: &[Vec<u32>],
+        residues: &[(u32, u32)],
+        m: usize,
+        l: usize,
+    ) -> Result<SimFile, CoreError> {
+        let files: Vec<SimFile> = schedules
+            .iter()
+            .map(|gids| file_of(&gids.iter().map(|&g| vec![g]).collect::<Vec<_>>(), 1))
+            .collect();
+        let cfg = PageConfig::with_page_size(64);
+        st_merge(
+            &files,
+            residues,
+            m,
+            l,
+            cfg,
+            &BufferPool::unbounded(),
+            &IoCounter::new(),
+        )
+    }
+
+    #[test]
+    fn st_merge_inserts_residues_among_scheduled_values() {
+        let all = vec![0, 1, 2, 3];
+        let st = merge_st(&[all.clone(), vec![], all], &[(1, 1), (3, 1)], 4, 2).unwrap();
+        let expected: Vec<Vec<u32>> = [
+            (0, 0),
+            (0, 2),
+            (1, 0),
+            (1, 1),
+            (1, 2),
+            (2, 0),
+            (2, 2),
+            (3, 0),
+            (3, 1),
+            (3, 2),
+        ]
+        .iter()
+        .map(|&(g, v)| vec![g, v, 1])
+        .collect();
+        assert_eq!(read_all(&st, 3), expected);
+    }
+
+    #[test]
+    fn st_merge_refuses_a_group_past_m() {
+        let all = vec![0, 1, 2, 3];
+        let msg = invalid(merge_st(&[all.clone(), vec![0, 1, 2, 3, 4]], &[], 4, 2));
+        assert!(msg.contains("group 4 is outside 0..4"), "{msg}");
+        let msg = invalid(merge_st(&[all.clone(), all], &[(9, 2)], 4, 2));
+        assert!(msg.contains("group 9 is outside 0..4"), "{msg}");
+    }
+
+    #[test]
+    fn st_merge_refuses_a_group_without_l_scheduled_values() {
+        let all = vec![0, 1, 2, 3];
+        let msg = invalid(merge_st(&[all.clone(), all.clone(), vec![1]], &[], 4, 2));
+        assert!(
+            msg.contains("group 1 is scheduled more than 2 values"),
+            "{msg}"
+        );
+        let msg = invalid(merge_st(&[all.clone(), vec![0, 1, 3]], &[], 4, 2));
+        assert!(
+            msg.contains("group 2 has 1 scheduled values instead of l = 2"),
+            "{msg}"
+        );
+        let msg = invalid(merge_st(&[vec![0, 1, 1, 2, 3], all], &[], 4, 2));
+        assert!(msg.contains("group 1 is scheduled value 0 twice"), "{msg}");
     }
 }

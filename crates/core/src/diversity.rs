@@ -3,7 +3,7 @@
 //!
 //! The paper adopts the *simple* frequency instantiation of l-diversity
 //! (termed "recursive (1/(l−1), 2)-diversity" in Machanavajjhala et al.,
-//! the paper's ref [10]): in every QI-group, the most frequent sensitive
+//! the paper's ref \[10\]): in every QI-group, the most frequent sensitive
 //! value covers at most `1/l` of the group (Inequality 1). Section 3.1
 //! notes that anatomy extends straightforwardly to the other
 //! instantiations; [`DiversityCriterion`] provides the two standard ones
@@ -24,7 +24,7 @@ pub fn group_is_l_diverse(hist: &Histogram, l: usize) -> bool {
     }
 }
 
-/// The eligibility condition (proof of Property 1, after ref [10]): an
+/// The eligibility condition (proof of Property 1, after ref \[10\]): an
 /// l-diverse partition of `T` exists **iff** at most `n/l` tuples share any
 /// one sensitive value. Returns the sensitive histogram on success so
 /// callers can reuse it.
@@ -116,13 +116,13 @@ pub enum DiversityCriterion {
         /// Diversity parameter `l >= 2`.
         l: usize,
     },
-    /// Entropy l-diversity (ref [10]): the entropy of the group's sensitive
+    /// Entropy l-diversity (ref \[10\]): the entropy of the group's sensitive
     /// distribution is at least `ln(l)`.
     Entropy {
         /// Diversity parameter `l >= 2`.
         l: usize,
     },
-    /// Recursive (c,l)-diversity (ref [10]): with group counts sorted
+    /// Recursive (c,l)-diversity (ref \[10\]): with group counts sorted
     /// descending `r1 >= r2 >= ...`, require
     /// `r1 < c * (r_l + r_{l+1} + ... + r_m)`.
     Recursive {

@@ -9,7 +9,7 @@ pub enum CoreError {
     /// 1-diverse partition is vacuous).
     InvalidL(usize),
     /// The microdata violates the eligibility condition of the paper's
-    /// ref [10] (proof of Property 1): some sensitive value occurs more
+    /// ref \[10\] (proof of Property 1): some sensitive value occurs more
     /// than `n/l` times, so *no* l-diverse partition exists.
     NotEligible {
         /// Occurrences of the most frequent sensitive value.

@@ -2,7 +2,7 @@
 //! l-diversity (Section 2).
 //!
 //! A partition is *k-anonymous* when every QI-group has at least `k`
-//! tuples. Machanavajjhala et al. (the paper's ref [10]) showed that this
+//! tuples. Machanavajjhala et al. (the paper's ref \[10\]) showed that this
 //! does not bound the adversary: a group whose tuples all share one
 //! sensitive value (a *homogeneous* group) is breached with certainty no
 //! matter how large `k` is. [`homogeneity_breach`] computes the actual

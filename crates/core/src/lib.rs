@@ -15,10 +15,10 @@
 //!
 //! * [`diversity`] — Definition 2, the eligibility condition, and the
 //!   alternative instantiations of l-diversity discussed via the paper's
-//!   ref [10] (entropy and recursive (c,l)-diversity);
+//!   ref \[10\] (entropy and recursive (c,l)-diversity);
 //! * [`partition`] — partitions into QI-groups (Definition 1) with
 //!   validation;
-//! * [`anatomize`] — the linear-time `Anatomize` algorithm (Figure 3,
+//! * [`mod@anatomize`] — the linear-time `Anatomize` algorithm (Figure 3,
 //!   Properties 1–3);
 //! * [`anatomize_io`] — the external, I/O-accounted variant whose cost is
 //!   the `O(n/b)` of Theorem 3 and the "anatomy" series of Figures 8–9;

@@ -4,7 +4,7 @@
 //!
 //! Generalization (Definition 4) partitions the microdata into QI-groups
 //! and coarsens every tuple's QI values to group-wide intervals. The paper
-//! evaluates against "the state-of-the-art algorithm in [9], which adopts
+//! evaluates against "the state-of-the-art algorithm in \[9\], which adopts
 //! multi-dimension recoding" — Mondrian (LeFevre et al., ICDE 2006) —
 //! adapted to the l-diversity requirement, with per-attribute generalization
 //! methods from Table 6: *free intervals* for Age and Education, and
@@ -17,7 +17,7 @@
 //! * [`generalized_table`] — the published generalized table (Definition 4)
 //!   in per-group compressed form, plus its reconstruction-error and volume
 //!   arithmetic;
-//! * [`mondrian`] — in-memory multidimensional recoding with l-diversity
+//! * [`mod@mondrian`] — in-memory multidimensional recoding with l-diversity
 //!   admissible splits (used by the accuracy experiments, Figures 4–7);
 //! * [`mondrian_io`] — the external, I/O-accounted variant (the
 //!   "generalization" series of Figures 8–9);

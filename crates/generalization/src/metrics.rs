@@ -2,7 +2,7 @@
 //!
 //! The paper quantifies utility through the re-construction error (RCE,
 //! Section 4) and, in Section 7, points at alternative metrics —
-//! KL-divergence (ref [7]) and discernibility (refs [4, 9]) — as future
+//! KL-divergence (ref \[7\]) and discernibility (refs \[4, 9\]) — as future
 //! work for anatomized tables. This module implements both, plus the
 //! normalized certainty penalty common in the generalization literature,
 //! so the two publication styles can be compared under several lenses.

@@ -1,5 +1,5 @@
 //! Multidimensional recoding (Mondrian) under l-diversity — the paper's
-//! baseline, "the state-of-the-art algorithm in [9]" (Section 6).
+//! baseline, "the state-of-the-art algorithm in \[9\]" (Section 6).
 //!
 //! Mondrian greedily refines the single all-encompassing QI-group by
 //! recursive splits:

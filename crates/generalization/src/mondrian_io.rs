@@ -96,15 +96,12 @@ pub fn mondrian_external(
         }));
     }
 
-    // One decoded row, reused by every scan below.
-    let mut rec: Vec<u32> = Vec::with_capacity(d + 1);
-
     // Root statistics pass: observed range of every attribute.
     let root_observed = {
         let mut reader = SeqReader::open(&input, codec, pool, counter.clone())?;
         let mut lo = vec![u32::MAX; d];
         let mut hi = vec![0u32; d];
-        while reader.next_into(&mut rec)? {
+        while let Some(rec) = reader.next_row()? {
             for i in 0..d {
                 lo[i] = lo[i].min(rec[i]);
                 hi[i] = hi[i].max(rec[i]);
@@ -164,7 +161,7 @@ pub fn mondrian_external(
                 let joint = {
                     let mut reader = SeqReader::open(&task.file, codec, pool, counter.clone())?;
                     let mut joint = vec![0u32; span * lambda];
-                    while reader.next_into(&mut rec)? {
+                    while let Some(rec) = reader.next_row()? {
                         let off = (rec[i] - range.lo) as usize;
                         joint[off * lambda + rec[d] as usize] += 1;
                     }
@@ -273,12 +270,12 @@ pub fn mondrian_external(
                 let mut child_lo = vec![vec![u32::MAX; d]; k];
                 let mut child_hi = vec![vec![0u32; d]; k];
                 {
-                    let mut writers: Vec<SeqWriter<'_, U32RowCodec>> = Vec::with_capacity(k);
+                    let mut writers: Vec<SeqWriter<'_>> = Vec::with_capacity(k);
                     for f in child_files.iter_mut() {
                         writers.push(SeqWriter::open(f, codec, page, pool, counter.clone())?);
                     }
                     let mut reader = SeqReader::open(&task.file, codec, pool, counter.clone())?;
-                    while reader.next_into(&mut rec)? {
+                    while let Some(rec) = reader.next_row()? {
                         let v = rec[i];
                         let c = sides
                             .iter()
@@ -288,7 +285,7 @@ pub fn mondrian_external(
                             child_lo[c][a] = child_lo[c][a].min(rec[a]);
                             child_hi[c][a] = child_hi[c][a].max(rec[a]);
                         }
-                        writers[c].push(&rec).map_err(GenError::Storage)?;
+                        writers[c].push(rec).map_err(GenError::Storage)?;
                     }
                     for w in writers {
                         w.finish().map_err(GenError::Storage)?;
@@ -330,7 +327,7 @@ pub fn mondrian_external(
                 .collect();
             let mut reader = SeqReader::open(&task.file, codec, pool, counter.clone())?;
             let mut out_rec = vec![0u32; 2 * d + 1];
-            while reader.next_into(&mut rec)? {
+            while let Some(rec) = reader.next_row()? {
                 for i in 0..d {
                     out_rec[2 * i] = ranges[i].lo;
                     out_rec[2 * i + 1] = ranges[i].hi;

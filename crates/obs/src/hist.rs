@@ -165,7 +165,7 @@ impl HistSnapshot {
     /// which are themselves capped at `max` — would inherit bounds no
     /// value in the window ever reached.
     ///
-    /// Registry-produced snapshots always have [`BUCKETS`] buckets;
+    /// Registry-produced snapshots always have `BUCKETS` (65) buckets;
     /// mismatched lengths (possible with a deserialized or hand-built
     /// snapshot) are a debug assertion, and release builds pad the
     /// shorter side with zeros rather than silently truncating.

@@ -2,7 +2,7 @@
 //!
 //! Every accuracy figure of the paper (Figures 4–7) evaluates a
 //! 10,000-query workload, and the scalar paths in [`crate::exact`] and
-//! [`crate::estimate_anatomy`] pay a full `O(n·d)` row scan per query.
+//! [`fn@crate::estimate_anatomy`] pay a full `O(n·d)` row scan per query.
 //! [`QueryIndex`] moves that work to build time:
 //!
 //! * **per-(column, value) bitmaps** — for each attribute `A_i` and each
@@ -328,7 +328,7 @@ impl QueryIndex {
     }
 
     /// The anatomy estimate via bitmaps (Section 1.2), bit-for-bit equal to
-    /// [`crate::estimate_anatomy`].
+    /// [`fn@crate::estimate_anatomy`].
     ///
     /// `tables` must be the publication the index was built against: the
     /// per-group sensitive masses come from its ST, the hit counts `h_j`
@@ -385,7 +385,7 @@ pub fn evaluate_exact_indexed(index: &QueryIndex, query: &CountQuery) -> u64 {
 }
 
 /// The anatomy estimate of `query` via `index` — the indexed replacement
-/// for [`crate::estimate_anatomy`]. See [`QueryIndex::estimate_anatomy`].
+/// for [`fn@crate::estimate_anatomy`]. See [`QueryIndex::estimate_anatomy`].
 pub fn estimate_anatomy_indexed(
     index: &QueryIndex,
     tables: &AnatomizedTables,

@@ -16,7 +16,7 @@
 //! * **predicate unions** — value containers of one attribute
 //!   partition the rows, so `⋃_{v∈V}` can also be computed as
 //!   `¬⋃_{v∉V}`; the planner takes whichever side has the smaller
-//!   summed container cost ([`ColumnIndexV2::or_values`]). The result
+//!   summed container cost (`ColumnIndexV2::or_values`). The result
 //!   is the same bit pattern either way.
 //! * **batch evaluation** — [`evaluate_exact_batch_v2`] /
 //!   [`estimate_anatomy_batch_v2`] answer an entire workload in one
@@ -40,7 +40,7 @@
 //! Everything here is an **exact replacement**: exact COUNTs are
 //! bit-identical to [`crate::evaluate_exact`] and estimates sum
 //! identical f64 terms in identical ascending-group order as
-//! [`crate::estimate_anatomy`] — the scalar paths and index v1 stay in
+//! [`fn@crate::estimate_anatomy`] — the scalar paths and index v1 stay in
 //! the crate as differential oracles, and the proptest
 //! `v2_equals_scalar` below pins the contract across both
 //! [`BucketStrategy`](anatomy_core::BucketStrategy) arms and all three
@@ -173,7 +173,7 @@ impl ColumnIndexV2 {
 }
 
 /// The compressed, batch-oriented successor of
-/// [`QueryIndex`](crate::index::QueryIndex).
+/// [`QueryIndex`].
 ///
 /// Same three build configurations and the same evaluation contract as
 /// v1 — [`QueryIndexV2::try_evaluate_exact`] and
@@ -405,7 +405,7 @@ impl QueryIndexV2 {
     /// The sensitive predicate needs no union materialization at all:
     /// one attribute's values partition the rows, so the COUNT is the sum
     /// of the per-value counts within the QI conjunction
-    /// ([`Self::sensitive_counts`]).
+    /// (`sensitive_counts`).
     pub fn try_evaluate_exact(&self, query: &CountQuery) -> Result<u64, QueryError> {
         let sens = self.sens.as_ref().ok_or_else(|| {
             QueryError::BadSpec(
@@ -426,7 +426,7 @@ impl QueryIndexV2 {
     }
 
     /// The anatomy estimate (Section 1.2), bit-for-bit equal to
-    /// [`crate::estimate_anatomy`]: identical term set, skip rules, and
+    /// [`fn@crate::estimate_anatomy`]: identical term set, skip rules, and
     /// ascending-group accumulation order.
     ///
     /// # Panics
@@ -491,7 +491,7 @@ pub fn evaluate_exact_indexed_v2(index: &QueryIndexV2, query: &CountQuery) -> u6
 }
 
 /// The anatomy estimate of `query` via `index` — the v2 replacement
-/// for [`crate::estimate_anatomy`]. See [`QueryIndexV2::estimate_anatomy`].
+/// for [`fn@crate::estimate_anatomy`]. See [`QueryIndexV2::estimate_anatomy`].
 pub fn estimate_anatomy_indexed_v2(
     index: &QueryIndexV2,
     tables: &AnatomizedTables,

@@ -18,9 +18,9 @@
 //! * [`workload`] — the random workload generator of Table 7's parameter
 //!   grid;
 //! * [`exact`] — ground truth by scanning the microdata;
-//! * [`estimate_anatomy`] — the estimator of Section 1.2: exact per-group
+//! * [`mod@estimate_anatomy`] — the estimator of Section 1.2: exact per-group
 //!   QI fractions from the QIT × per-group sensitive mass from the ST;
-//! * [`estimate_generalization`] — the estimator of Section 1.1: uniform
+//! * [`mod@estimate_generalization`] — the estimator of Section 1.1: uniform
 //!   spread of each group over its rectangle (multidimensional-histogram
 //!   style);
 //! * [`accuracy`] — relative-error aggregation (the paper's "average

@@ -21,9 +21,6 @@ pub enum StorageError {
         /// Total pool capacity.
         capacity: usize,
     },
-    /// A page's bytes could not be decoded as records (corruption or a
-    /// codec/file mismatch).
-    Decode(String),
     /// An operation was asked to partition into zero buckets, or a similar
     /// degenerate request.
     InvalidArgument(String),
@@ -88,7 +85,6 @@ impl fmt::Display for StorageError {
                 f,
                 "buffer pool exhausted: requested {requested} pages, {available} free of {capacity}"
             ),
-            StorageError::Decode(msg) => write!(f, "record decode failed: {msg}"),
             StorageError::InvalidArgument(msg) => write!(f, "invalid argument: {msg}"),
             StorageError::BadMagic { page, found } => {
                 write!(

@@ -31,10 +31,10 @@
 //!     IoCounter::new(),
 //! )
 //! .unwrap();
-//! w.push(&vec![1]).unwrap();
-//! w.push(&vec![2]).unwrap();
+//! w.push(&[1]).unwrap();
+//! w.push(&[2]).unwrap();
 //! // The first page flush hits the scheduled ENOSPC.
-//! assert!(matches!(w.push(&vec![3]), Err(StorageError::DiskFull { .. })));
+//! assert!(matches!(w.push(&[3]), Err(StorageError::DiskFull { .. })));
 //! ```
 
 use crate::error::StorageError;

@@ -17,7 +17,7 @@ use crate::counter::IoCounter;
 use crate::error::StorageError;
 use crate::fault;
 use crate::page::{PageConfig, PageHeader};
-use crate::record::FixedCodec;
+use crate::record::{decode_page, encode_page, U32RowCodec};
 
 /// One stored page: integrity header plus payload bytes.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -41,14 +41,18 @@ struct Page {
 /// let mut file = SimFile::new();
 /// let mut w = SeqWriter::open(&mut file, codec, cfg, &pool, counter.clone())?;
 /// for i in 0..1000u32 {
-///     w.push(&vec![i, i * 2, i * 3])?;
+///     w.push(&[i, i * 2, i * 3])?;
 /// }
 /// w.finish()?;
 /// // 341 twelve-byte records per 4096-byte page -> 3 pages written.
 /// assert_eq!(counter.stats().page_writes, 3);
 ///
-/// let r = SeqReader::open(&file, codec, &pool, counter.clone())?;
-/// assert_eq!(r.count(), 1000);
+/// let mut r = SeqReader::open(&file, codec, &pool, counter.clone())?;
+/// let mut sum = 0u64;
+/// while let Some(row) = r.next_row()? {
+///     sum += u64::from(row[1]);
+/// }
+/// assert_eq!(sum, 999 * 1000);
 /// assert_eq!(counter.stats().page_reads, 3);
 /// # Ok::<(), anatomy_storage::StorageError>(())
 /// ```
@@ -89,31 +93,33 @@ impl SimFile {
 /// Sequential writer that packs fixed-size records into pages.
 ///
 /// Holds one buffer page leased from the pool for the duration of the
-/// write. Each flushed page gets a [`PageHeader`] computed over the
+/// write. The page being filled is kept as `u32` words, one slice copy
+/// per record, and encoded to little-endian bytes once, when it is
+/// flushed. Each flushed page gets a [`PageHeader`] computed over the
 /// payload the writer intends to store, so later readers can prove the
 /// bytes survived intact. [`SeqWriter::push`] and [`SeqWriter::finish`]
 /// are fallible — the simulated device can reject a write
 /// ([`StorageError::DiskFull`] under fault injection) — and dropping an
 /// unfinished writer flushes best-effort, ignoring errors; pipelines
 /// that care call `finish()` explicitly.
-pub struct SeqWriter<'a, C: FixedCodec> {
-    codec: C,
-    cfg: PageConfig,
+pub struct SeqWriter<'a> {
+    arity: usize,
     counter: IoCounter,
     file: &'a mut SimFile,
-    buf: Vec<u8>,
-    buf_records: u32,
+    /// The page being filled, as words; holds at most `page_words`.
+    words: Vec<u32>,
+    page_words: usize,
     write_ns: anatomy_obs::Histogram,
     _lease: PageLease,
 }
 
-impl<'a, C: FixedCodec> SeqWriter<'a, C> {
+impl<'a> SeqWriter<'a> {
     /// Open a writer appending to `file`, leasing one buffer page from
     /// `pool`. Errors with [`StorageError::RecordTooLarge`] when no
-    /// record of this codec fits a page.
+    /// record of this shape fits a page.
     pub fn open(
         file: &'a mut SimFile,
-        codec: C,
+        codec: U32RowCodec,
         cfg: PageConfig,
         pool: &BufferPool,
         counter: IoCounter,
@@ -124,14 +130,13 @@ impl<'a, C: FixedCodec> SeqWriter<'a, C> {
     /// Open a writer holding `buffers` leased pages instead of one.
     ///
     /// The extra pages model double-buffered output: with two buffers the
-    /// device can drain page `k` while the writer fills `k + 1`, so the
-    /// sharded pipeline's QIT/ST emitters lease two pages each and the
+    /// device can drain page `k` while the writer fills `k + 1`, and the
     /// budget accounting charges what the overlap actually costs. Record
     /// layout, page contents and the I/O bill are identical to
     /// [`SeqWriter::open`] — only the lease size differs.
     pub fn open_buffered(
         file: &'a mut SimFile,
-        codec: C,
+        codec: U32RowCodec,
         cfg: PageConfig,
         pool: &BufferPool,
         counter: IoCounter,
@@ -142,38 +147,46 @@ impl<'a, C: FixedCodec> SeqWriter<'a, C> {
                 "writer needs at least one buffer page".into(),
             ));
         }
-        cfg.records_per_page(codec.record_len())?;
+        let page_words = cfg.records_per_page(codec.record_len())? * codec.arity();
         let lease = pool.try_lease(buffers)?;
         Ok(SeqWriter {
-            codec,
-            cfg,
+            arity: codec.arity(),
             counter,
             file,
-            buf: Vec::with_capacity(cfg.page_size),
-            buf_records: 0,
+            words: Vec::with_capacity(page_words),
+            page_words,
             write_ns: anatomy_obs::global().histogram("storage.page_write_ns"),
             _lease: lease,
         })
     }
 
-    /// Append one record, flushing the buffered page first if the record
-    /// would not fit.
-    pub fn push(&mut self, record: &C::Record) -> Result<(), StorageError> {
-        if self.buf.len() + self.codec.record_len() > self.cfg.page_size {
+    /// Append one record, flushing the buffered page first if it is full.
+    ///
+    /// Panics when `record` does not have the writer's arity.
+    pub fn push(&mut self, record: &[u32]) -> Result<(), StorageError> {
+        // A row of another width would shift every field after it.
+        assert_eq!(
+            record.len(),
+            self.arity,
+            "row arity mismatch: codec expects {}, record has {}",
+            self.arity,
+            record.len()
+        );
+        if self.words.len() == self.page_words {
             self.flush_page()?;
         }
-        self.codec.encode(record, &mut self.buf);
-        self.buf_records += 1;
+        self.words.extend_from_slice(record);
         self.file.record_count += 1;
         Ok(())
     }
 
     fn flush_page(&mut self) -> Result<(), StorageError> {
-        if self.buf.is_empty() {
+        if self.words.is_empty() {
             return Ok(());
         }
-        let mut payload = std::mem::replace(&mut self.buf, Vec::with_capacity(self.cfg.page_size));
-        let records = std::mem::take(&mut self.buf_records);
+        let records = (self.words.len() / self.arity) as u32;
+        let mut payload = encode_page(&self.words);
+        self.words.clear();
         // The header describes the payload the writer *meant* to store;
         // anything the (possibly faulty) device does to the bytes after
         // this point is caught at read time.
@@ -200,12 +213,12 @@ impl<'a, C: FixedCodec> SeqWriter<'a, C> {
     /// Flush the final partial page and release the buffer.
     pub fn finish(mut self) -> Result<(), StorageError> {
         self.flush_page()
-        // Drop runs next, but the buffer is now empty (flush_page takes
+        // Drop runs next, but the buffer is now empty (flush_page clears
         // it even on error), so its flush is a no-op either way.
     }
 }
 
-impl<C: FixedCodec> Drop for SeqWriter<'_, C> {
+impl Drop for SeqWriter<'_> {
     fn drop(&mut self) {
         let _ = self.flush_page();
     }
@@ -213,40 +226,45 @@ impl<C: FixedCodec> Drop for SeqWriter<'_, C> {
 
 /// Sequential reader over a [`SimFile`].
 ///
-/// Holds one buffer page leased from the pool. [`SeqReader::next_into`]
-/// decodes the next record into a caller's record, and `Iterator` is
-/// built on it, yielding freshly allocated records; a page read is
-/// charged lazily when the cursor first touches each page. On first touch
-/// the payload is copied into one of the reader's recycled page buffers
-/// and its header is verified (magic, format version, length, checksum),
-/// so damaged pages surface as one typed [`StorageError`] instead of
-/// garbage records. The reader yields exactly [`SimFile::record_count`]
-/// records or an error: a file whose pages end early produces
-/// [`StorageError::Truncated`]. After the first error the reader is
-/// fused: `next_into` returns `Ok(false)` and the iterator `None`.
-pub struct SeqReader<'a, C: FixedCodec> {
-    codec: C,
+/// Holds one buffer page leased from the pool. A page read is charged
+/// lazily when the cursor first touches each page. On first touch the
+/// payload is copied into the reader's scratch bytes and its header is
+/// verified (magic, format version, length, checksum), so damaged pages
+/// surface as one typed [`StorageError`] instead of garbage records; a
+/// verified page is decoded once into words. [`SeqReader::next_row`]
+/// yields each record as a slice of those words, and
+/// [`SeqReader::next_into`] and the `Iterator` copy that slice into a
+/// caller's row or a fresh one. The reader yields exactly
+/// [`SimFile::record_count`] records or an error: a file whose pages end
+/// early produces [`StorageError::Truncated`]. After the first error the
+/// reader is fused: `next_row` returns `Ok(None)`, `next_into`
+/// `Ok(false)` and the iterator `None`.
+pub struct SeqReader<'a> {
+    arity: usize,
     counter: IoCounter,
     file: &'a SimFile,
+    /// The next page to fetch.
     page_idx: usize,
+    /// The current page, decoded, and the word where its next row starts.
+    words: Vec<u32>,
     offset: usize,
-    buf: Vec<u8>,
-    loaded: bool,
     yielded: usize,
     failed: bool,
     prefetch: usize,
-    queue: std::collections::VecDeque<(usize, Result<Vec<u8>, StorageError>)>,
-    /// Page buffers already consumed, refilled by the next fetch.
-    spare: Vec<Vec<u8>>,
+    queue: std::collections::VecDeque<(usize, Result<Vec<u32>, StorageError>)>,
+    /// Decoded pages already consumed, refilled by the next fetch.
+    spare: Vec<Vec<u32>>,
+    /// One page's bytes as read back, before verification.
+    bytes: Vec<u8>,
     read_ns: anatomy_obs::Histogram,
     _lease: PageLease,
 }
 
-impl<'a, C: FixedCodec> SeqReader<'a, C> {
+impl<'a> SeqReader<'a> {
     /// Open a reader over `file`, leasing one buffer page from `pool`.
     pub fn open(
         file: &'a SimFile,
-        codec: C,
+        codec: U32RowCodec,
         pool: &BufferPool,
         counter: IoCounter,
     ) -> Result<Self, StorageError> {
@@ -265,7 +283,7 @@ impl<'a, C: FixedCodec> SeqReader<'a, C> {
     /// yielded. `depth == 1` is exactly the unbatched reader.
     pub fn open_with_prefetch(
         file: &'a SimFile,
-        codec: C,
+        codec: U32RowCodec,
         pool: &BufferPool,
         counter: IoCounter,
         depth: usize,
@@ -277,18 +295,18 @@ impl<'a, C: FixedCodec> SeqReader<'a, C> {
         }
         let lease = pool.try_lease(depth)?;
         Ok(SeqReader {
-            codec,
+            arity: codec.arity(),
             counter,
             file,
             page_idx: 0,
+            words: Vec::new(),
             offset: 0,
-            buf: Vec::new(),
-            loaded: false,
             yielded: 0,
             failed: false,
             prefetch: depth,
             queue: std::collections::VecDeque::new(),
             spare: Vec::new(),
+            bytes: Vec::new(),
             read_ns: anatomy_obs::global().histogram("storage.page_read_ns"),
             _lease: lease,
         })
@@ -301,9 +319,9 @@ impl<'a, C: FixedCodec> SeqReader<'a, C> {
 
     /// Fetch one batch of up to `prefetch` pages starting at `from`:
     /// charge the reads, copy each payload (read faults apply to the
-    /// copy, never the stored bytes) and verify its header. Results are
-    /// queued in page order so consumption surfaces errors exactly where
-    /// an unbatched reader would.
+    /// copy, never the stored bytes), verify its header and decode it.
+    /// Results are queued in page order so consumption surfaces errors
+    /// exactly where an unbatched reader would.
     fn fetch_batch(&mut self, from: usize) {
         let until = (from + self.prefetch).min(self.file.pages.len());
         for idx in from..until {
@@ -312,89 +330,99 @@ impl<'a, C: FixedCodec> SeqReader<'a, C> {
             let t0 = anatomy_obs::global()
                 .enabled()
                 .then(std::time::Instant::now);
-            let mut buf = self.spare.pop().unwrap_or_default();
-            buf.clear();
-            buf.extend_from_slice(&page.payload);
-            fault::on_read(&mut buf, idx);
-            let verified = page.header.verify(&buf, self.codec.record_len(), idx);
+            self.bytes.clear();
+            self.bytes.extend_from_slice(&page.payload);
+            fault::on_read(&mut self.bytes, idx);
+            let loaded = page
+                .header
+                .verify(&self.bytes, self.arity * 4, idx)
+                .map(|()| {
+                    let mut words = self.spare.pop().unwrap_or_default();
+                    decode_page(&self.bytes, &mut words);
+                    words
+                });
             if let Some(t0) = t0 {
                 self.read_ns
                     .record(t0.elapsed().as_nanos().min(u64::MAX as u128) as u64);
             }
-            self.queue.push_back((idx, verified.map(|()| buf)));
+            self.queue.push_back((idx, loaded));
         }
     }
 
-    /// Decode the next record into `out`, overwriting it. Returns
-    /// `Ok(false)` at the end of the file and after the first error.
-    ///
-    /// The allocation-free path every scan uses: a loop that reuses one
-    /// `out` decodes the whole file without allocating per record, with
-    /// the same records, first error and page-read bill as the iterator.
-    pub fn next_into(&mut self, out: &mut C::Record) -> Result<bool, StorageError> {
-        if self.failed {
-            return Ok(false);
+    /// Make the next page current. `Ok(false)` at the end of the pages,
+    /// when the file's metadata confirms every record was yielded.
+    fn advance_page(&mut self) -> Result<bool, StorageError> {
+        if self.queue.is_empty() {
+            self.fetch_batch(self.page_idx);
         }
-        loop {
-            if !self.loaded {
-                if self.queue.is_empty() {
-                    self.fetch_batch(self.page_idx);
-                }
-                let Some((idx, loaded)) = self.queue.pop_front() else {
-                    // End of pages: the file's own metadata says how many
-                    // records there should have been.
-                    if self.yielded < self.file.record_count {
-                        let (expected, found, page) =
-                            (self.file.record_count, self.yielded, self.page_idx);
-                        return Err(self.fail(StorageError::Truncated {
-                            page,
-                            expected,
-                            found,
-                        }));
-                    }
-                    return Ok(false);
-                };
-                debug_assert_eq!(idx, self.page_idx);
-                match loaded {
-                    Ok(buf) => {
-                        let done = std::mem::replace(&mut self.buf, buf);
-                        self.spare.push(done);
-                        self.offset = 0;
-                        self.loaded = true;
-                    }
-                    Err(e) => return Err(self.fail(e)),
-                }
+        let Some((idx, loaded)) = self.queue.pop_front() else {
+            // End of pages: the file's own metadata says how many
+            // records there should have been.
+            if self.yielded < self.file.record_count {
+                let (expected, found, page) = (self.file.record_count, self.yielded, self.page_idx);
+                return Err(self.fail(StorageError::Truncated {
+                    page,
+                    expected,
+                    found,
+                }));
             }
-            let len = self.codec.record_len();
-            if self.offset + len <= self.buf.len() {
-                let mut slice = &self.buf[self.offset..];
-                if let Err(e) = self.codec.decode_into(&mut slice, out) {
-                    return Err(self.fail(e));
-                }
-                self.offset += len;
-                self.yielded += 1;
-                return Ok(true);
+            return Ok(false);
+        };
+        debug_assert_eq!(idx, self.page_idx);
+        match loaded {
+            Ok(words) => {
+                let done = std::mem::replace(&mut self.words, words);
+                self.spare.push(done);
+                self.offset = 0;
+                self.page_idx += 1;
+                Ok(true)
             }
-            // move to next page
-            self.page_idx += 1;
-            self.loaded = false;
+            Err(e) => Err(self.fail(e)),
+        }
+    }
+
+    /// The next record, as a slice of the current decoded page. Returns
+    /// `Ok(None)` at the end of the file and after the first error.
+    ///
+    /// The path every scan uses: one slice per record, no copy and no
+    /// allocation, with the same records, first error and page-read bill
+    /// as [`SeqReader::next_into`] and the iterator.
+    pub fn next_row(&mut self) -> Result<Option<&[u32]>, StorageError> {
+        if self.failed {
+            return Ok(None);
+        }
+        while self.offset == self.words.len() {
+            if !self.advance_page()? {
+                return Ok(None);
+            }
+        }
+        let start = self.offset;
+        self.offset += self.arity;
+        self.yielded += 1;
+        Ok(Some(&self.words[start..self.offset]))
+    }
+
+    /// Copy the next record into `out`, overwriting it. Returns
+    /// `Ok(false)` at the end of the file and after the first error.
+    pub fn next_into(&mut self, out: &mut Vec<u32>) -> Result<bool, StorageError> {
+        match self.next_row()? {
+            Some(row) => {
+                out.clear();
+                out.extend_from_slice(row);
+                Ok(true)
+            }
+            None => Ok(false),
         }
     }
 }
 
-impl<C: FixedCodec> Iterator for SeqReader<'_, C>
-where
-    C::Record: Default,
-{
-    type Item = Result<C::Record, StorageError>;
+impl Iterator for SeqReader<'_> {
+    type Item = Result<Vec<u32>, StorageError>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        let mut rec = C::Record::default();
-        match self.next_into(&mut rec) {
-            Ok(true) => Some(Ok(rec)),
-            Ok(false) => None,
-            Err(e) => Some(Err(e)),
-        }
+        self.next_row()
+            .map(|row| row.map(<[u32]>::to_vec))
+            .transpose()
     }
 }
 
@@ -402,7 +430,6 @@ where
 mod tests {
     use super::*;
     use crate::fault::{FaultConfig, FaultScope};
-    use crate::record::U32RowCodec;
 
     fn setup() -> (PageConfig, BufferPool, IoCounter) {
         // Tiny pages: 3 records of arity 2 (8 bytes each) per 25-byte page.
@@ -413,10 +440,26 @@ mod tests {
         )
     }
 
-    /// Drain `r` through `next_into` with one reused row: the records
-    /// before the first error, and that error. The reader must stay
-    /// fused afterwards.
-    fn drain_into(mut r: SeqReader<'_, U32RowCodec>) -> (Vec<Vec<u32>>, Option<StorageError>) {
+    /// The records a drain saw before the first error, and that error.
+    type Drained = (Vec<Vec<u32>>, Option<StorageError>);
+
+    /// Drain `r` through `next_row`. The reader must stay fused
+    /// afterwards.
+    fn drain_rows(mut r: SeqReader<'_>) -> Drained {
+        let mut rows = Vec::new();
+        let err = loop {
+            match r.next_row() {
+                Ok(Some(row)) => rows.push(row.to_vec()),
+                Ok(None) => break None,
+                Err(e) => break Some(e),
+            }
+        };
+        assert_eq!(r.next_row(), Ok(None), "reader must be fused");
+        (rows, err)
+    }
+
+    /// The same drain through `next_into` with one reused row.
+    fn drain_into(mut r: SeqReader<'_>) -> Drained {
         let mut rows = Vec::new();
         let mut row = Vec::new();
         let err = loop {
@@ -431,7 +474,7 @@ mod tests {
     }
 
     /// The same drain through the iterator.
-    fn drain_iter(mut r: SeqReader<'_, U32RowCodec>) -> (Vec<Vec<u32>>, Option<StorageError>) {
+    fn drain_iter(mut r: SeqReader<'_>) -> Drained {
         let mut rows = Vec::new();
         let err = r.by_ref().find_map(|rec| match rec {
             Ok(row) => {
@@ -444,12 +487,44 @@ mod tests {
         (rows, err)
     }
 
+    /// Drain `file` at prefetch `depth` through each of `next_row`,
+    /// `next_into` and the iterator, each under a fresh scope of `faults`
+    /// and its own counter. All three must agree on the records, the
+    /// first error and the page-read bill; returns what they saw.
+    fn drain_three_ways(
+        file: &SimFile,
+        codec: U32RowCodec,
+        pool: &BufferPool,
+        depth: usize,
+        faults: &FaultConfig,
+    ) -> (Drained, crate::IoStats) {
+        let arm = |drain: fn(SeqReader<'_>) -> Drained| {
+            let _scope = FaultScope::install(faults.clone());
+            let counter = IoCounter::new();
+            let r =
+                SeqReader::open_with_prefetch(file, codec, pool, counter.clone(), depth).unwrap();
+            (drain(r), counter.stats())
+        };
+        let by_rows = arm(drain_rows);
+        assert_eq!(arm(drain_into), by_rows, "next_into, depth={depth}");
+        assert_eq!(arm(drain_iter), by_rows, "iterator, depth={depth}");
+        by_rows
+    }
+
+    /// The per-record encoder the page writer replaced, kept as the
+    /// oracle of the stored layout: each field's little-endian bytes.
+    fn encode(record: &[u32], out: &mut Vec<u8>) {
+        for &v in record {
+            out.extend_from_slice(&v.to_le_bytes());
+        }
+    }
+
     fn write_ten(cfg: PageConfig, pool: &BufferPool, counter: &IoCounter) -> SimFile {
         let mut file = SimFile::new();
         let codec = U32RowCodec::new(2);
         let mut w = SeqWriter::open(&mut file, codec, cfg, pool, counter.clone()).unwrap();
         for i in 0..10u32 {
-            w.push(&vec![i, i * 10]).unwrap();
+            w.push(&[i, i * 10]).unwrap();
         }
         w.finish().unwrap();
         file
@@ -488,7 +563,7 @@ mod tests {
         let mut w = SeqWriter::open(&mut file, codec, cfg, &pool, counter.clone()).unwrap();
         let n = 1000usize;
         for i in 0..n {
-            w.push(&vec![i as u32; 8]).unwrap();
+            w.push(&[i as u32; 8]).unwrap();
         }
         w.finish().unwrap();
         let expected_pages = cfg.pages_for(n, codec.record_len()).unwrap();
@@ -605,28 +680,23 @@ mod tests {
         let clean = write_ten(cfg, &pool, &counter);
         let codec = U32RowCodec::new(2);
         let faults = FaultConfig::new().bit_flip_read(2, 7);
-        let by_iter = IoCounter::new();
-        let (rows, err) = {
-            let _scope = FaultScope::install(faults.clone());
-            let r =
-                SeqReader::open_with_prefetch(&clean, codec, &pool, by_iter.clone(), 4).unwrap();
-            drain_iter(r)
-        };
-        // Pages 0 and 1 still yield all their records (3 each) before the
-        // damaged page 2 stops the scan, exactly like the unbatched reader.
-        assert_eq!(rows.len(), 6);
-        assert!(matches!(
-            err,
-            Some(StorageError::ChecksumMismatch { page: 2, .. })
-        ));
-
-        // `next_into` surfaces the same error after the same records, at
-        // the same page-read bill.
-        let by_into = IoCounter::new();
-        let _scope = FaultScope::install(faults);
-        let r = SeqReader::open_with_prefetch(&clean, codec, &pool, by_into.clone(), 4).unwrap();
-        assert_eq!(drain_into(r), (rows, err));
-        assert_eq!(by_into.stats(), by_iter.stats());
+        for depth in 1..=8 {
+            // `next_row`, `next_into` and the iterator see the same records
+            // and the same error at the same page-read bill.
+            let ((rows, err), bill) = drain_three_ways(&clean, codec, &pool, depth, &faults);
+            // Pages 0 and 1 still yield all their records (3 each) before
+            // the damaged page 2 stops the scan, exactly like the
+            // unbatched reader.
+            assert_eq!(rows.len(), 6, "depth={depth}");
+            assert!(
+                matches!(err, Some(StorageError::ChecksumMismatch { page: 2, .. })),
+                "depth={depth}: {err:?}"
+            );
+            // A batch is charged when it is fetched: every batch up to
+            // the one holding page 2, capped at the file's 4 pages.
+            let fetched = ((2 / depth + 1) * depth).min(4) as u64;
+            assert_eq!(bill.page_reads, fetched, "depth={depth}");
+        }
     }
 
     #[test]
@@ -639,7 +709,7 @@ mod tests {
                 SeqWriter::open_buffered(&mut file, codec, cfg, &pool, counter.clone(), 2).unwrap();
             assert_eq!(pool.in_use(), 2);
             for i in 0..10u32 {
-                w.push(&vec![i, i * 10]).unwrap();
+                w.push(&[i, i * 10]).unwrap();
             }
             w.finish().unwrap();
         }
@@ -660,7 +730,7 @@ mod tests {
         let codec = U32RowCodec::new(2);
         {
             let mut w = SeqWriter::open(&mut file, codec, cfg, &pool, counter.clone()).unwrap();
-            w.push(&vec![1, 2]).unwrap();
+            w.push(&[1, 2]).unwrap();
             // dropped without finish()
         }
         assert_eq!(file.record_count(), 1);
@@ -741,7 +811,7 @@ mod tests {
             let mut w = SeqWriter::open(&mut file, codec, cfg, &pool, counter.clone()).unwrap();
             let mut err = None;
             for i in 0..10u32 {
-                if let Err(e) = w.push(&vec![i, i]) {
+                if let Err(e) = w.push(&[i, i]) {
                     err = Some(e);
                     break;
                 }
@@ -806,8 +876,54 @@ mod tests {
                 prop_assert_eq!(counter.stats().page_reads, expected_pages as u64);
 
                 let r = SeqReader::open(&file, codec, &pool, counter.clone()).unwrap();
-                prop_assert_eq!(drain_into(r), (records, None));
+                prop_assert_eq!(drain_into(r), (records.clone(), None));
                 prop_assert_eq!(counter.stats().page_reads, 2 * expected_pages as u64);
+
+                let r = SeqReader::open(&file, codec, &pool, counter.clone()).unwrap();
+                prop_assert_eq!(drain_rows(r), (records, None));
+                prop_assert_eq!(counter.stats().page_reads, 3 * expected_pages as u64);
+            }
+
+            /// Every stored page is exactly the per-field little-endian
+            /// encoding of its rows, with a header over those bytes: the
+            /// writer's page-at-a-time encoding stores what the per-record
+            /// encoder stored.
+            #[test]
+            fn stored_pages_are_the_per_field_encoding(
+                arity_pick in 0usize..4,
+                size_pick in 0usize..3,
+                fields in proptest::collection::vec(0u32..=u32::MAX, 0..4000),
+            ) {
+                let arity = [1, 3, 6, 7][arity_pick];
+                let cfg = PageConfig::with_page_size([25, 64, 4096][size_pick]);
+                let codec = U32RowCodec::new(arity);
+                let rows: Vec<&[u32]> = fields.chunks_exact(arity).collect();
+                let pool = BufferPool::unbounded();
+                let mut file = SimFile::new();
+                let opened = SeqWriter::open(&mut file, codec, cfg, &pool, IoCounter::new());
+                if codec.record_len() > cfg.page_size {
+                    // Seven fields (28 bytes) do not fit a 25-byte page.
+                    prop_assert!(matches!(opened, Err(StorageError::RecordTooLarge { .. })));
+                    return Ok(());
+                }
+                let mut w = opened.unwrap();
+                for row in &rows {
+                    w.push(row).unwrap();
+                }
+                w.finish().unwrap();
+                let per_page = cfg.records_per_page(codec.record_len()).unwrap();
+                prop_assert_eq!(file.pages.len(), rows.len().div_ceil(per_page));
+                for (page, chunk) in file.pages.iter().zip(rows.chunks(per_page)) {
+                    let mut expected = Vec::new();
+                    for row in chunk {
+                        encode(row, &mut expected);
+                    }
+                    prop_assert_eq!(&page.payload[..], &expected[..]);
+                    prop_assert_eq!(
+                        page.header,
+                        PageHeader::for_payload(&expected, chunk.len() as u32)
+                    );
+                }
             }
 
             /// A single seeded fault anywhere in the schedule never makes
@@ -845,19 +961,19 @@ mod tests {
                         .faults()
                         .filter(|(_, kind)| !kind.is_write())
                         .fold(FaultConfig::new(), |cfg, (op, kind)| cfg.with_fault(op, kind));
-                    let arm = |into: bool| {
-                        let _arm = FaultScope::install(read_faults.clone());
-                        let counter = IoCounter::new();
-                        let r = SeqReader::open(&file, codec, &pool, counter.clone()).unwrap();
-                        let drained = if into { drain_into(r) } else { drain_iter(r) };
-                        (drained, counter.stats())
-                    };
-                    let (by_iter, bill) = arm(false);
-                    // `next_into` sees the same records, first error and bill.
-                    prop_assert_eq!(arm(true), (by_iter.clone(), bill));
+                    // At every prefetch depth, `next_row`, `next_into` and
+                    // the iterator see the same records, first error and
+                    // bill, and every depth sees what the unbatched reader
+                    // sees (only the bill may grow by the batch).
+                    let (by_rows, _) = drain_three_ways(&file, codec, &pool, 1, &read_faults);
+                    for depth in 2..=8 {
+                        let (drained, _) =
+                            drain_three_ways(&file, codec, &pool, depth, &read_faults);
+                        prop_assert_eq!(&drained, &by_rows);
+                    }
                     // A read error here is a loud failure, which is
                     // acceptable; only silent corruption is not.
-                    if let (rows, None) = by_iter {
+                    if let (rows, None) = by_rows {
                         prop_assert_eq!(rows, records);
                     }
                 }

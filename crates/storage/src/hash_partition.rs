@@ -61,20 +61,19 @@ fn write_pass(
 ) -> Result<Vec<SimFile>, StorageError> {
     let mut outputs: Vec<SimFile> = (0..nout).map(|_| SimFile::new()).collect();
     {
-        let mut writers: Vec<SeqWriter<'_, U32RowCodec>> = Vec::with_capacity(nout);
+        let mut writers: Vec<SeqWriter<'_>> = Vec::with_capacity(nout);
         for f in outputs.iter_mut() {
             writers.push(SeqWriter::open(f, codec, cfg, pool, counter.clone())?);
         }
         let mut reader = SeqReader::open(input, codec, pool, counter.clone())?;
-        let mut rec = Vec::with_capacity(codec.arity());
-        while reader.next_into(&mut rec)? {
-            let k = key(&rec);
+        while let Some(rec) = reader.next_row()? {
+            let k = key(rec);
             if k < lo || k >= hi {
                 return Err(StorageError::InvalidArgument(format!(
                     "record key {k} outside partition range [{lo}, {hi})"
                 )));
             }
-            writers[bucket_of(k)].push(&rec)?;
+            writers[bucket_of(k)].push(rec)?;
         }
         // Finish explicitly so a failed flush of a partial page (e.g. a
         // full device) propagates instead of vanishing in a drop.
@@ -173,7 +172,7 @@ mod tests {
         let mut f = SimFile::new();
         let mut w = SeqWriter::open(&mut f, codec, cfg, pool, counter).unwrap();
         for (i, &k) in keys.iter().enumerate() {
-            w.push(&vec![k, i as u32]).unwrap();
+            w.push(&[k, i as u32]).unwrap();
         }
         w.finish().unwrap();
         f

@@ -13,16 +13,17 @@
 //!
 //! * [`IoCounter`] — thread-safe read/write page counters shared by every
 //!   component of one experiment;
-//! * [`FixedCodec`] / [`U32RowCodec`] — fixed-size record serialization, so
-//!   a page holds `⌊page_size / record_len⌋` records exactly as in the
-//!   paper's `b` records-per-page arithmetic;
+//! * [`U32RowCodec`] — the fixed-size row shape, so a page holds
+//!   `⌊page_size / record_len⌋` records exactly as in the paper's `b`
+//!   records-per-page arithmetic;
 //! * [`SimFile`] with [`SeqWriter`] / [`SeqReader`] — sequential record
 //!   files materialized as real byte pages, charging one write per emitted
-//!   page and one read per consumed page;
+//!   page and one read per consumed page; each page is encoded once when
+//!   written and decoded once when read, and rows move as `&[u32]` slices;
 //! * [`BufferPool`] — a fixed budget of in-memory pages with RAII
 //!   [`PageLease`]s, used by the external algorithms to *prove* they respect
 //!   the 50-page memory limit rather than merely claim it;
-//! * [`hash_partition`] — external hash partitioning (the first phase of
+//! * [`fn@hash_partition`] — external hash partitioning (the first phase of
 //!   `Anatomize`), with recursive multi-pass splitting when the fan-out
 //!   exceeds the buffer budget.
 //!
@@ -50,7 +51,7 @@ pub use page::{
     crc32, PageConfig, PageHeader, DEFAULT_PAGE_SIZE, PAGE_FORMAT_VERSION, PAGE_MAGIC,
     PAPER_MEMORY_PAGES,
 };
-pub use record::{FixedCodec, U32RowCodec};
+pub use record::U32RowCodec;
 
 /// Convenience result alias for this crate.
 pub type Result<T> = std::result::Result<T, StorageError>;

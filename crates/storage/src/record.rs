@@ -1,33 +1,17 @@
-//! Fixed-size record codecs.
+//! The fixed-size row shape, and the page codec built on it.
 //!
-//! Files in this workspace store *fixed-size* records: tuples of `u32`
+//! Files in this workspace store *fixed-size* records: rows of `u32`
 //! codes, optionally with a group id. Fixed-size records make the paper's
 //! per-page arithmetic exact — a page holds `⌊page_size / record_len⌋`
 //! records, which is the `b` of the `O(n/b)` bounds in Theorem 3.
+//!
+//! A page's payload is its rows' fields, each a little-endian `u32`, back
+//! to back. [`SeqWriter`](crate::SeqWriter) keeps the page it fills as
+//! words and encodes them once, when the page is flushed;
+//! [`SeqReader`](crate::SeqReader) decodes each verified page once and
+//! hands rows out as word slices.
 
-use crate::error::StorageError;
-
-/// A codec for records of one fixed encoded size.
-///
-/// Implementations must encode every record to exactly
-/// [`FixedCodec::record_len`] bytes.
-pub trait FixedCodec {
-    /// The record type this codec serializes.
-    type Record;
-
-    /// Encoded length in bytes of every record.
-    fn record_len(&self) -> usize;
-
-    /// Append the record's encoding (exactly `record_len` bytes) to `out`.
-    fn encode(&self, record: &Self::Record, out: &mut Vec<u8>);
-
-    /// Decode one record from the front of `buf` into `out`, overwriting
-    /// it (exactly `record_len` bytes are consumed). Reusing one `out`
-    /// across calls keeps a scan free of per-record allocation.
-    fn decode_into(&self, buf: &mut &[u8], out: &mut Self::Record) -> Result<(), StorageError>;
-}
-
-/// Codec for rows of `arity` little-endian `u32` codes.
+/// Shape of rows of `arity` little-endian `u32` codes.
 ///
 /// This covers every record type the anatomizing pipeline needs:
 /// * microdata tuples — `arity = d + 1` (QI values plus the sensitive code);
@@ -41,7 +25,7 @@ pub struct U32RowCodec {
 }
 
 impl U32RowCodec {
-    /// A codec for rows of `arity` u32 values.
+    /// Rows of `arity` u32 values. Panics when `arity` is zero.
     pub fn new(arity: usize) -> Self {
         assert!(arity > 0, "row records need at least one field");
         U32RowCodec { arity }
@@ -51,68 +35,50 @@ impl U32RowCodec {
     pub fn arity(&self) -> usize {
         self.arity
     }
-}
 
-impl FixedCodec for U32RowCodec {
-    type Record = Vec<u32>;
-
-    fn record_len(&self) -> usize {
+    /// Encoded length in bytes of every record: four per field.
+    pub fn record_len(&self) -> usize {
         self.arity * 4
     }
+}
 
-    fn encode(&self, record: &Vec<u32>, out: &mut Vec<u8>) {
-        assert_eq!(
-            record.len(),
-            self.arity,
-            "row arity mismatch: codec expects {}, record has {}",
-            self.arity,
-            record.len()
-        );
-        for &v in record {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
+/// A page payload for `words`: each word's little-endian bytes, in order,
+/// in a buffer of exactly `4 · words.len()` bytes.
+pub(crate) fn encode_page(words: &[u32]) -> Vec<u8> {
+    let mut payload = vec![0u8; words.len() * 4];
+    for (bytes, w) in payload.chunks_exact_mut(4).zip(words) {
+        bytes.copy_from_slice(&w.to_le_bytes());
     }
+    payload
+}
 
-    fn decode_into(&self, buf: &mut &[u8], out: &mut Vec<u32>) -> Result<(), StorageError> {
-        let Some((bytes, rest)) = buf.split_at_checked(self.record_len()) else {
-            return Err(StorageError::Decode(format!(
-                "need {} bytes for a {}-field row, have {}",
-                self.record_len(),
-                self.arity,
-                buf.len()
-            )));
-        };
-        out.clear();
-        out.extend(
-            bytes
-                .chunks_exact(4)
-                .map(|w| u32::from_le_bytes([w[0], w[1], w[2], w[3]])),
-        );
-        *buf = rest;
-        Ok(())
-    }
+/// Decode a payload of little-endian words into `out`, overwriting it.
+/// Callers pass verified pages, whose length is a whole number of
+/// records and so of words.
+pub(crate) fn decode_page(payload: &[u8], out: &mut Vec<u32>) {
+    debug_assert_eq!(payload.len() % 4, 0, "a page holds whole 4-byte fields");
+    out.clear();
+    out.extend(
+        payload
+            .chunks_exact(4)
+            .map(|w| u32::from_le_bytes([w[0], w[1], w[2], w[3]])),
+    );
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{BufferPool, IoCounter, PageConfig, SeqWriter, SimFile};
 
     #[test]
     fn round_trip() {
-        let codec = U32RowCodec::new(3);
-        let mut bytes = Vec::new();
-        codec.encode(&vec![1, 2, 3], &mut bytes);
-        codec.encode(&vec![4, 5, u32::MAX], &mut bytes);
-        assert_eq!(bytes.len(), 2 * codec.record_len());
-
-        let mut cursor: &[u8] = &bytes;
-        // A stale, longer row is overwritten, not appended to.
-        let mut row = vec![9; 5];
-        codec.decode_into(&mut cursor, &mut row).unwrap();
-        assert_eq!(row, vec![1, 2, 3]);
-        codec.decode_into(&mut cursor, &mut row).unwrap();
-        assert_eq!(row, vec![4, 5, u32::MAX]);
-        assert!(cursor.is_empty());
+        let words = [1, 2, 3, 4, 5, u32::MAX];
+        let payload = encode_page(&words);
+        assert_eq!(payload.len(), 4 * words.len());
+        // A stale, longer buffer is overwritten, not appended to.
+        let mut back = vec![9; 10];
+        decode_page(&payload, &mut back);
+        assert_eq!(back, words);
     }
 
     #[test]
@@ -122,24 +88,13 @@ mod tests {
     }
 
     #[test]
-    fn decode_short_buffer_errors() {
+    #[should_panic(expected = "row arity mismatch")]
+    fn push_of_the_wrong_arity_panics() {
+        let (pool, mut file) = (BufferPool::unbounded(), SimFile::new());
         let codec = U32RowCodec::new(2);
-        let bytes = [1u8, 2, 3]; // 3 bytes < 8
-        let mut cursor: &[u8] = &bytes;
-        assert!(matches!(
-            codec.decode_into(&mut cursor, &mut Vec::new()),
-            Err(StorageError::Decode(_))
-        ));
-        // Nothing is consumed on failure.
-        assert_eq!(cursor.len(), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "arity mismatch")]
-    fn encode_wrong_arity_panics() {
-        let codec = U32RowCodec::new(2);
-        let mut out = Vec::new();
-        codec.encode(&vec![1, 2, 3], &mut out);
+        let cfg = PageConfig::with_page_size(64);
+        let mut w = SeqWriter::open(&mut file, codec, cfg, &pool, IoCounter::new()).unwrap();
+        let _ = w.push(&[1, 2, 3]);
     }
 
     #[test]
@@ -150,9 +105,6 @@ mod tests {
 
     #[test]
     fn encoding_is_little_endian() {
-        let codec = U32RowCodec::new(1);
-        let mut out = Vec::new();
-        codec.encode(&vec![0x0102_0304], &mut out);
-        assert_eq!(out, vec![0x04, 0x03, 0x02, 0x01]);
+        assert_eq!(encode_page(&[0x0102_0304]), vec![0x04, 0x03, 0x02, 0x01]);
     }
 }

@@ -10,7 +10,7 @@
 //! * [`scan_row`] reads a line of comma-separated codes in place, at the
 //!   start of whatever bytes the caller holds, and finds the line's end as
 //!   it goes;
-//! * [`Blocks`] holds a stream's bytes in large blocks, so a reader scans
+//! * `Blocks` holds a stream's bytes in large blocks, so a reader scans
 //!   lines where they lie, with no per-line read and no whole-file buffer;
 //! * [`line_at`] cuts a line out of a text exactly as `str::lines` does.
 //!

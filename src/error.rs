@@ -171,7 +171,12 @@ mod tests {
         let e: Error = anatomy_core::CoreError::InvalidL(1).into();
         assert!(e.source().is_some());
         assert!(e.to_string().starts_with("core error: "));
-        let e: Error = anatomy_storage::StorageError::Decode("truncated record".into()).into();
+        let truncated = anatomy_storage::StorageError::Truncated {
+            page: 0,
+            expected: 8,
+            found: 3,
+        };
+        let e: Error = truncated.into();
         assert!(e.source().is_some());
         let e = Error::msg("bad flag");
         assert!(e.source().is_none());

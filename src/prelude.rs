@@ -1,7 +1,7 @@
 //! One import for the common path: `use anatomy::prelude::*;`.
 //!
-//! Brings in the [`Publish`](crate::Publish) front door, the types its
-//! [`Release`](crate::Release) carries, the COUNT-query evaluators (exact
+//! Brings in the [`Publish`] front door, the types its
+//! [`Release`] carries, the COUNT-query evaluators (exact
 //! ground truth, the anatomy estimator and the generalization estimator
 //! by scan; exact counts and anatomy estimates for whole workloads
 //! through a [`QueryIndexV2`], the path `anatomy query` and

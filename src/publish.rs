@@ -7,7 +7,7 @@
 //! steps behind one builder and returns a [`Release`] carrying the
 //! published tables plus everything the run learned about itself: the
 //! partition (in-memory runs), the logical I/O bill (sharded runs), and
-//! a [`RunManifest`](anatomy_obs::RunManifest) with the phase tree and
+//! a [`RunManifest`] with the phase tree and
 //! counters of exactly this run.
 //!
 //! ```

@@ -5,10 +5,12 @@
 use anatomy::audit::{audit_release_for, names_for, Stage};
 use anatomy::core::adversary::{individual_breach_probability, tuple_breach_probabilities};
 use anatomy::core::{
-    anatomize, rce_lower_bound, rce_of_partition, AnatomizeConfig, AnatomizedTables, CoreError,
+    anatomize, anatomize_sharded, rce_lower_bound, rce_of_partition, AnatomizeConfig,
+    AnatomizedTables, BucketStrategy, CoreError, ShardConfig,
 };
 use anatomy::generalization::{mondrian, MondrianConfig};
 use anatomy::query::{estimate_anatomy, estimate_generalization, evaluate_exact, InPredicate};
+use anatomy::storage::{IoCounter, PageConfig};
 use anatomy::tables::{Attribute, Microdata, Schema, TableBuilder, Value};
 use proptest::prelude::*;
 
@@ -30,6 +32,26 @@ fn microdata(rows: &[(u32, u32)]) -> Microdata {
 
 fn rows_strategy() -> impl Strategy<Value = Vec<(u32, u32)>> {
     proptest::collection::vec((0u32..QI_DOM, 0u32..S_DOM), 8..200)
+}
+
+/// Microdata with two QI columns, `(a, b, s)` rows.
+fn microdata2(rows: &[(u32, u32, u32)]) -> Microdata {
+    let schema = Schema::new(vec![
+        Attribute::numerical("A", QI_DOM),
+        Attribute::numerical("B", QI_DOM),
+        Attribute::categorical("S", S_DOM),
+    ])
+    .unwrap();
+    let mut b = TableBuilder::new(schema);
+    for &(a, qb, s) in rows {
+        b.push_row(&[a, qb, s]).unwrap();
+    }
+    Microdata::with_leading_qi(b.finish(), 2).unwrap()
+}
+
+/// The QIT's QI columns, in row order.
+fn qi_columns(tables: &AnatomizedTables) -> Vec<Vec<u32>> {
+    (0..2).map(|i| tables.qi_codes(i).to_vec()).collect()
 }
 
 proptest! {
@@ -112,6 +134,40 @@ proptest! {
             // And the ST counts sum to n per construction.
             let total: u32 = tables.st_records().iter().map(|r| r.count).sum();
             prop_assert_eq!(total as usize, md.len());
+        }
+    }
+
+    /// Row order: the in-memory engine (both bucket strategies) and the
+    /// sharded engine (1, 3 and 8 shards) list the QIT in the
+    /// microdata's row order, so its QI columns, row by row, are the
+    /// microdata's own. Changing only the sensitive column therefore
+    /// cannot reorder them: the order says nothing about sensitive
+    /// values. (`anatomize_external` lists rows in draw order and does
+    /// not hold this.)
+    #[test]
+    fn qit_rows_keep_the_microdata_order(
+        rows in proptest::collection::vec((0u32..QI_DOM, 0u32..QI_DOM, 0u32..S_DOM), 8..200),
+        l in 2usize..5,
+        seed in 0u64..50,
+    ) {
+        let md = microdata2(&rows);
+        let expected: Vec<Vec<u32>> = (0..2).map(|i| md.qi_codes(i).to_vec()).collect();
+        let qi_schema = md.table().schema().project(md.qi_columns()).unwrap();
+        for strategy in [BucketStrategy::LargestFirst, BucketStrategy::RoundRobin] {
+            let config = AnatomizeConfig::new(l).with_seed(seed).with_strategy(strategy);
+            // Ineligible data, and round-robin's stranded residues, publish
+            // nothing whose order could leak.
+            let Ok(p) = anatomize(&md, &config) else { continue };
+            let tables = AnatomizedTables::publish(&md, &p, l).unwrap();
+            prop_assert_eq!(qi_columns(&tables), expected.clone());
+            for (shards, pages_per_shard) in [(1, 12), (3, 6), (8, 4)] {
+                let shard =
+                    ShardConfig::new(PageConfig::with_page_size(64), shards, pages_per_shard)
+                        .unwrap();
+                let out = anatomize_sharded(&md, &config, &shard, &IoCounter::new()).unwrap();
+                let tables = out.into_tables(qi_schema.clone(), l).unwrap();
+                prop_assert_eq!(qi_columns(&tables), expected.clone(), "{} shards", shards);
+            }
         }
     }
 
