@@ -10,7 +10,6 @@ use crate::{
 };
 use anatomy_core::AnatomizedTables;
 use anatomy_query::estimate_anatomy_per_value;
-use std::collections::BTreeMap;
 
 /// Every stage must preserve the six core invariants.
 const ALL_STAGES: &[Stage] = &Stage::ALL;
@@ -244,20 +243,20 @@ pub static ESTIMATOR_CONSISTENCY: Invariant = Invariant {
 };
 
 fn check_estimator(tables: &AnatomizedTables, _l: usize) -> CheckOutcome {
-    let mut totals: BTreeMap<u32, u64> = BTreeMap::new();
-    for r in tables.st_records() {
-        *totals.entry(r.value.0).or_insert(0) += r.count as u64;
-    }
+    let totals = tables.fold_per_value(0u64, |total, r| *total += u64::from(r.count));
     // With no QI predicate every group's fraction p_j is exactly 1, so
     // each value's estimate must equal Σ_j c_j(v) with no estimation
     // error. One pass answers every value, bit-identically to the scalar
     // estimator with that value's point predicate.
     let estimates = estimate_anatomy_per_value(tables, &[]);
-    for ((&v, &total), &(_, est)) in totals.iter().zip(&estimates) {
+    for (&(v, total), &(_, est)) in totals.iter().zip(&estimates) {
         if (est - total as f64).abs() > 1e-6 {
             return CheckOutcome::fail(
                 CHECK_ESTIMATOR_CONSISTENCY,
-                format!("value {v}: estimator says {est}, ST counts sum to {total}"),
+                format!(
+                    "value {}: estimator says {est}, ST counts sum to {total}",
+                    v.code()
+                ),
             );
         }
     }

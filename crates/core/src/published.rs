@@ -27,11 +27,20 @@ pub struct StRecord {
 /// * ST — schema `(Group-ID, As, Count)`: stored as [`StRecord`]s sorted by
 ///   `(group, value)` with a CSR offset index for per-group access.
 ///
-/// Rows keep the microdata's order. A real deployment would shuffle the QIT
-/// before release so row order leaks nothing; row order carries no
-/// information an adversary does not already get from the QI values
-/// themselves, but the shuffle is cheap insurance. Tests and examples rely
-/// on the stable order.
+/// Row order is the engine's, and a written QIT keeps it. [`publish`] and
+/// the sharded engine list rows in the microdata's order, which tests and
+/// examples rely on; [`anatomize_external`]'s tables list each group's
+/// rows in the order the engine drew them. Either order can leak what the
+/// groups hide. When the input order follows the sensitive attribute
+/// (a file sorted by it, say), the QIT's row order matched with the ST's
+/// per-value totals tells every tuple's value. The external engine draws
+/// without randomness, so an adversary who replays its draws from the ST
+/// ties each QIT row to its value. A publisher whose input order follows
+/// the sensitive attribute must shuffle it first. The audit treats the
+/// QIT and the ST as sets and sees neither leak.
+///
+/// [`publish`]: AnatomizedTables::publish
+/// [`anatomize_external`]: crate::anatomize_external
 #[derive(Debug, Clone, PartialEq)]
 pub struct AnatomizedTables {
     qit: Table,
@@ -387,6 +396,50 @@ impl AnatomizedTables {
             .filter(|r| pred(r.value))
             .map(|r| r.count as u64)
             .sum()
+    }
+
+    /// Fold the ST into one accumulator per sensitive value it holds:
+    /// each value's accumulator starts at `zero` and takes `add` once per
+    /// record of that value, in ST order. Returns `(v, accumulator)` pairs
+    /// in ascending `v`.
+    ///
+    /// When every value lies below |ST|, the accumulators are an array
+    /// indexed by value, of at most |ST| entries. Otherwise (a small
+    /// release over a wide domain, or a corrupt one) the values are sorted
+    /// and each record finds its accumulator by binary search. Either way
+    /// memory is O(|ST|) whatever the codes, and each accumulator sees the
+    /// same records in the same order, so floating-point sums agree.
+    pub fn fold_per_value<T: Clone>(
+        &self,
+        zero: T,
+        mut add: impl FnMut(&mut T, &StRecord),
+    ) -> Vec<(Value, T)> {
+        let st = &self.st;
+        let Some(top) = st.iter().map(|r| r.value.code() as usize).max() else {
+            return Vec::new();
+        };
+        if top < st.len() {
+            let mut acc: Vec<Option<T>> = vec![None; top + 1];
+            for r in st {
+                add(
+                    acc[r.value.code() as usize].get_or_insert_with(|| zero.clone()),
+                    r,
+                );
+            }
+            return acc
+                .into_iter()
+                .enumerate()
+                .filter_map(|(v, a)| Some((Value(v as u32), a?)))
+                .collect();
+        }
+        let mut values: Vec<u32> = st.iter().map(|r| r.value.code()).collect();
+        values.sort_unstable();
+        values.dedup();
+        let mut acc = vec![zero; values.len()];
+        for r in st {
+            add(&mut acc[values.partition_point(|&v| v < r.value.code())], r);
+        }
+        values.into_iter().map(Value).zip(acc).collect()
     }
 
     /// Render the QIT like the paper's Table 3a (1-based group ids,

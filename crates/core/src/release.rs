@@ -18,11 +18,10 @@ use anatomy_tables::{Schema, TableBuilder, TablesError, Value};
 /// codes per row, 1-based group ids.
 pub fn qit_to_csv(tables: &AnatomizedTables) -> String {
     let schema = tables.qi_table().schema();
-    let columns: Vec<(&[u32], codec::CodeText)> = (0..tables.qi_count())
-        .map(|i| {
-            let text = codec::CodeText::new(tables.qi_domain_size(i), b',');
-            (tables.qi_codes(i), text)
-        })
+    let columns: Vec<&[u32]> = (0..tables.qi_count()).map(|i| tables.qi_codes(i)).collect();
+    let texts: Vec<codec::CodeText> = (0..tables.qi_count())
+        .map(|i| codec::CodeText::new(tables.qi_domain_size(i), b','))
+        .chain([codec::CodeText::new(group_id_domain(tables), b'\n')])
         .collect();
     // Codes sit below their domain sizes and 1-based ids at most at the
     // group count, which bounds every row's width.
@@ -33,16 +32,14 @@ pub fn qit_to_csv(tables: &AnatomizedTables) -> String {
         .sum::<usize>()
         + digits(tables.group_count() as u32)
         + 1;
-    let groups = codec::CodeText::new(group_id_domain(tables), b'\n');
     let header = schema.names().join(",") + ",Group-ID\n";
     let mut out = codec::Writer::with_capacity(header.len() + tables.len() * row_bytes);
     out.str(&header);
-    for (r, &g) in tables.group_ids().iter().enumerate() {
-        for (column, text) in &columns {
-            out.code(text, column[r]);
-        }
-        out.code(&groups, g + 1);
-    }
+    let group_ids = tables.group_ids();
+    out.rows(&texts, 0..tables.len(), |r, k| match columns.get(k) {
+        Some(column) => column[r],
+        None => group_ids[r] + 1,
+    });
     out.into_string()
 }
 
@@ -54,16 +51,18 @@ pub fn st_to_csv(tables: &AnatomizedTables) -> String {
         .fold((0, 0), |(v, c), r| (r.value.code().max(v), r.count.max(c)));
     let row_bytes = digits(tables.group_count() as u32) + digits(max_value) + digits(max_count) + 3;
     let header = "Group-ID,As,Count\n";
-    let groups = codec::CodeText::new(group_id_domain(tables), b',');
-    let values = codec::CodeText::new(max_value.saturating_add(1), b',');
-    let counts = codec::CodeText::new(max_count.saturating_add(1), b'\n');
+    let texts = [
+        codec::CodeText::new(group_id_domain(tables), b','),
+        codec::CodeText::new(max_value.saturating_add(1), b','),
+        codec::CodeText::new(max_count.saturating_add(1), b'\n'),
+    ];
     let mut out = codec::Writer::with_capacity(header.len() + st.len() * row_bytes);
     out.str(header);
-    for rec in st {
-        out.code(&groups, rec.group + 1);
-        out.code(&values, rec.value.code());
-        out.code(&counts, rec.count);
-    }
+    out.rows(&texts, 0..st.len(), |r, k| match k {
+        0 => st[r].group + 1,
+        1 => st[r].value.code(),
+        _ => st[r].count,
+    });
     out.into_string()
 }
 

@@ -65,32 +65,37 @@ pub fn estimate_anatomy(tables: &AnatomizedTables, query: &CountQuery) -> f64 {
 }
 
 /// Estimate the query `qi_preds ∧ As = v` for every sensitive value `v`
-/// the ST holds, in one pass over the QIT and one over the ST.
+/// the ST holds, in one pass over the QIT and two over the ST.
 ///
 /// Returns `(v, estimate)` pairs in ascending `v`. Each estimate is
 /// bit-identical to [`estimate_anatomy`] with the point predicate `{v}`:
 /// the ST is sorted by `(group, value)` with one record per pair, so
 /// every value's sum gets the scalar path's terms in the scalar path's
 /// (ascending group) order. Values the ST does not hold estimate to 0
-/// and are not listed, which keeps memory at O(λ) whatever the codes.
+/// and are not listed. The sums are tallied by
+/// [`AnatomizedTables::fold_per_value`]: in an array of at most |ST|
+/// entries indexed by value when every value lies below |ST|, by binary
+/// search over the sorted values otherwise, so memory stays O(|ST|)
+/// whatever the codes.
 pub fn estimate_anatomy_per_value(
     tables: &AnatomizedTables,
     qi_preds: &[(usize, InPredicate)],
 ) -> Vec<(Value, f64)> {
-    let hits = group_hits(tables, qi_preds);
-    let mut values: Vec<u32> = tables.st_records().iter().map(|r| r.value.code()).collect();
-    values.sort_unstable();
-    values.dedup();
-    let mut estimates = vec![0.0f64; values.len()];
-    for r in tables.st_records() {
-        let h = hits[r.group as usize];
-        if h == 0 || r.count == 0 {
-            continue;
+    // Each group's p_j, 0 when no row qualifies.
+    let shares: Vec<f64> = group_hits(tables, qi_preds)
+        .iter()
+        .enumerate()
+        .map(|(j, &h)| match h {
+            0 => 0.0,
+            h => h as f64 / tables.group_size(j as u32) as f64,
+        })
+        .collect();
+    tables.fold_per_value(0.0f64, |estimate, r| {
+        let p = shares[r.group as usize];
+        if p != 0.0 && r.count != 0 {
+            *estimate += p * r.count as f64;
         }
-        let slot = values.partition_point(|&v| v < r.value.code());
-        estimates[slot] += (h as f64 / tables.group_size(r.group) as f64) * r.count as f64;
-    }
-    values.into_iter().map(Value).zip(estimates).collect()
+    })
 }
 
 /// Pass 1 of the estimator: per-group counts of QIT rows satisfying every
@@ -285,8 +290,90 @@ mod tests {
             Ok(())
         }
 
+        /// The ordered path every per-value estimate was once computed by:
+        /// sort and dedup the ST's codes, then find each record's slot by
+        /// binary search.
+        fn per_value_by_sort(
+            t: &AnatomizedTables,
+            qi_preds: &[(usize, InPredicate)],
+        ) -> Vec<(Value, f64)> {
+            let hits = group_hits(t, qi_preds);
+            let mut values: Vec<u32> = t.st_records().iter().map(|r| r.value.code()).collect();
+            values.sort_unstable();
+            values.dedup();
+            let mut estimates = vec![0.0f64; values.len()];
+            for r in t.st_records() {
+                let h = hits[r.group as usize];
+                if h == 0 || r.count == 0 {
+                    continue;
+                }
+                let slot = values.partition_point(|&v| v < r.value.code());
+                estimates[slot] += (h as f64 / t.group_size(r.group) as f64) * r.count as f64;
+            }
+            values.into_iter().map(Value).zip(estimates).collect()
+        }
+
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(64))]
+            /// Per-value estimates equal the sort path's bit for bit, on
+            /// releases whose codes all lie below |ST| (the dense tally)
+            /// and on releases with codes at or above it (the ordered
+            /// tally): one code far past the rest, or codes spread over a
+            /// 2^16 domain. Random partitions, published unchecked, give
+            /// ST counts above 1 too.
+            #[test]
+            fn per_value_matches_the_sort_path(
+                n in 20usize..400,
+                spread in 0u8..3,
+                seed in 0u64..1 << 32,
+                qi_cols in 0usize..4,
+            ) {
+                const S_DOM: u32 = 1 << 16;
+                let mut rng = StdRng::seed_from_u64(seed);
+                let schema = Schema::new(vec![
+                    Attribute::numerical("Age", 30),
+                    Attribute::numerical("Zip", 12),
+                    Attribute::categorical("S", S_DOM),
+                ])
+                .unwrap();
+                let mut b = TableBuilder::new(schema);
+                for i in 0..n {
+                    let s = match spread {
+                        0 => rng.random_range(0..8u32),
+                        1 if i == n / 2 => S_DOM - 1,
+                        1 => rng.random_range(0..8u32),
+                        _ => rng.random_range(0..S_DOM),
+                    };
+                    b.push_row(&[rng.random_range(0..30u32), rng.random_range(0..12u32), s])
+                        .unwrap();
+                }
+                let md = Microdata::with_leading_qi(b.finish(), 2).unwrap();
+                let qi_preds: Vec<(usize, InPredicate)> = [(0usize, 30u32), (1, 12)]
+                    .into_iter()
+                    .enumerate()
+                    .filter(|&(k, _)| qi_cols & (1 << k) != 0)
+                    .map(|(_, (col, dom))| (col, random_pred(&mut rng, dom)))
+                    .collect();
+                let mut rows: Vec<u32> = (0..n as u32).collect();
+                rows.shuffle(&mut rng);
+                let groups: Vec<Vec<u32>> = rows
+                    .chunks(rng.random_range(1..9usize))
+                    .map(<[u32]>::to_vec)
+                    .collect();
+                let p = Partition::new(groups, n).unwrap();
+                let t = AnatomizedTables::publish_unchecked(&md, &p, 2).unwrap();
+
+                let top = t.st_records().iter().map(|r| r.value.code()).max().unwrap();
+                prop_assert_eq!(spread == 0, (top as usize) < t.st_records().len());
+                let dense = estimate_anatomy_per_value(&t, &qi_preds);
+                let sorted = per_value_by_sort(&t, &qi_preds);
+                prop_assert_eq!(dense.len(), sorted.len());
+                for (&(v, est), &(w, oracle)) in dense.iter().zip(&sorted) {
+                    prop_assert_eq!(v, w);
+                    prop_assert_eq!(est.to_bits(), oracle.to_bits(), "value {}", v.code());
+                }
+            }
+
             /// Every per-value estimate equals the scalar estimator with
             /// that value's point predicate, bit for bit, over random
             /// releases and random QI predicates on none, one or both QI

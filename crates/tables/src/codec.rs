@@ -5,8 +5,9 @@
 //! punctuation, so one writer and one scanner serve them all:
 //!
 //! * [`Writer`] puts text into one byte buffer, two digits per step,
-//!   without the `fmt` machinery, and [`CodeText`] renders a
-//!   small-domain column's codes once per call;
+//!   without the `fmt` machinery, [`CodeText`] renders a small-domain
+//!   column's codes once per call, and [`Writer::rows`] writes lines of
+//!   such codes a block of rows at a time;
 //! * [`scan_row`] reads a line of comma-separated codes in place, at the
 //!   start of whatever bytes the caller holds, and finds the line's end as
 //!   it goes;
@@ -20,6 +21,7 @@
 //! the errors stay what that code makes them.
 
 use std::io::{self, Read};
+use std::ops::Range;
 
 /// Two ASCII digits for each of `0..100`.
 const PAIRS: [u8; 200] = {
@@ -57,6 +59,11 @@ fn put_digits(out: &mut [u8], mut v: u32) {
     }
 }
 
+/// The most bytes a field of [`Writer::rows`] takes in the buffer while
+/// it is written: a `u32`'s ten digits and a separator, which also covers
+/// a rendered code's 8-byte copy.
+pub(crate) const FIELD_ROOM: usize = 11;
+
 /// Text built in one byte buffer: decimal codes, ASCII separators and
 /// whole strings, so the buffer is always valid UTF-8.
 #[derive(Debug, Default)]
@@ -68,10 +75,10 @@ pub struct Writer {
 
 impl Writer {
     /// An empty writer with room for `bytes` bytes of text, and for the
-    /// 8-byte copies of [`Writer::code`] up to that length.
+    /// room one more field of [`Writer::rows`] asks at their end.
     pub fn with_capacity(bytes: usize) -> Self {
         Writer {
-            bytes: vec![0; bytes + 8],
+            bytes: vec![0; bytes + FIELD_ROOM],
             len: 0,
         }
     }
@@ -109,17 +116,47 @@ impl Writer {
 
     /// Append `code` and its column's separator, from `text`'s rendering
     /// when it has one.
-    #[inline]
-    pub fn code(&mut self, text: &CodeText, code: u32) {
-        match text.slots.get(code as usize) {
-            Some(slot) => {
-                self.room(8).copy_from_slice(slot);
-                self.len += usize::from(slot[7]);
+    fn code(&mut self, text: &CodeText, code: u32) {
+        self.room(FIELD_ROOM);
+        self.len += text.put(&mut self.bytes, self.len, code);
+    }
+
+    /// Append one line per row of `rows`: field `k` of row `r` is the code
+    /// `field(r, k)`, written with `texts[k]` and its separator, so the
+    /// last text's separator ends the line.
+    ///
+    /// The rows go a block at a time: as many as the free room holds at
+    /// their worst case (11 bytes a field, a `u32`'s ten digits and a
+    /// separator), written with one cursor and no capacity check per
+    /// field. A writer presized to its text never grows: once less than
+    /// one row's worst case is free, the rows left are written field by
+    /// field.
+    pub fn rows(
+        &mut self,
+        texts: &[CodeText],
+        rows: Range<usize>,
+        mut field: impl FnMut(usize, usize) -> u32,
+    ) {
+        let row_room = (texts.len() * FIELD_ROOM).max(1);
+        let mut r = rows.start;
+        while r < rows.end {
+            let fit = ((self.bytes.len() - self.len) / row_room).min(rows.end - r);
+            if fit == 0 {
+                for (k, text) in texts.iter().enumerate() {
+                    self.code(text, field(r, k));
+                }
+                r += 1;
+                continue;
             }
-            None => {
-                self.u32(code);
-                self.byte(text.sep);
+            let out = &mut self.bytes[self.len..];
+            let mut at = 0;
+            for row in r..r + fit {
+                for (k, text) in texts.iter().enumerate() {
+                    at += text.put(out, at, field(row, k));
+                }
             }
+            self.len += at;
+            r += fit;
         }
     }
 
@@ -211,9 +248,33 @@ impl CodeText {
             .collect();
         CodeText { slots, sep }
     }
+
+    /// Write `code` and the separator into `out` at `at`, which has
+    /// [`FIELD_ROOM`] bytes behind it, and return the text's length. A
+    /// rendered code is one 8-byte copy, which may write past its text.
+    #[inline]
+    fn put(&self, out: &mut [u8], at: usize, code: u32) -> usize {
+        match self.slots.get(code as usize) {
+            Some(slot) => {
+                out[at..at + 8].copy_from_slice(slot);
+                usize::from(slot[7])
+            }
+            None => self.put_digits(out, at, code),
+        }
+    }
+
+    /// [`CodeText::put`] for a code outside the rendered domain.
+    #[cold]
+    fn put_digits(&self, out: &mut [u8], at: usize, code: u32) -> usize {
+        let n = digits(code);
+        put_digits(&mut out[at..at + n], code);
+        out[at + n] = self.sep;
+        n + 1
+    }
 }
 
 const _: () = assert!(CodeText::MAX_RENDERED <= 1_000_000);
+const _: () = assert!(FIELD_ROOM == u32::MAX.ilog10() as usize + 2);
 
 /// What [`scan_row`] found at the start of its input.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -508,6 +569,46 @@ mod tests {
             }
             assert_eq!(w.into_string(), oracle, "domain {domain}");
         }
+    }
+
+    #[test]
+    fn rows_write_what_the_digit_writer_writes() {
+        // A rendered column whose codes run past its domain, a column too
+        // wide to render, and a one-code column that ends the line.
+        let texts = [
+            CodeText::new(101, b','),
+            CodeText::new(CodeText::MAX_RENDERED + 1, b'|'),
+            CodeText::new(1, b'\n'),
+        ];
+        let field = |r: usize, k: usize| -> u32 {
+            let r = r as u32;
+            match k {
+                0 => r * 37 % 130,
+                1 => r.wrapping_mul(2_654_435_761),
+                _ if r.is_multiple_of(9) => u32::MAX,
+                _ => 0,
+            }
+        };
+        let oracle: String = (0..500)
+            .map(|r| format!("{},{}|{}\n", field(r, 0), field(r, 1), field(r, 2)))
+            .collect();
+        // Too little room for one row, for some rows, for exactly the
+        // text, and for every row's worst case.
+        for capacity in [0, 7, 100, oracle.len(), 500 * 3 * FIELD_ROOM] {
+            let mut w = Writer::with_capacity(capacity);
+            let room = w.bytes.len();
+            w.rows(&texts, 0..200, field);
+            w.rows(&texts, 200..200, field);
+            w.rows(&texts, 200..500, field);
+            assert_eq!(w.as_bytes(), oracle.as_bytes(), "capacity {capacity}");
+            if capacity >= oracle.len() {
+                assert_eq!(w.bytes.len(), room, "capacity {capacity}: grew");
+            }
+        }
+        // No texts, no text.
+        let mut w = Writer::with_capacity(0);
+        w.rows(&[], 0..10, |_, _| unreachable!());
+        assert!(w.is_empty());
     }
 
     #[test]

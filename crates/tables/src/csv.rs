@@ -20,32 +20,38 @@ const CHUNK: usize = 1 << 16;
 /// decimal codes per row.
 pub fn write_table<W: Write>(table: &Table, mut out: W) -> Result<(), TablesError> {
     let width = table.width();
-    let columns: Vec<(&[u32], codec::CodeText)> = table
-        .schema()
-        .attributes()
+    let attributes = table.schema().attributes();
+    let columns: Vec<&[u32]> = (0..width).map(|c| table.column(c)).collect();
+    let texts: Vec<codec::CodeText> = attributes
         .iter()
         .enumerate()
         .map(|(c, a)| {
             let sep = if c + 1 == width { b'\n' } else { b',' };
-            (table.column(c), codec::CodeText::new(a.domain_size(), sep))
+            codec::CodeText::new(a.domain_size(), sep)
         })
         .collect();
-    let mut w = codec::Writer::with_capacity(CHUNK + 64);
-    w.str(&table.schema().names().join(","));
-    w.byte(b'\n');
-    for row in 0..table.len() {
-        for (column, text) in &columns {
-            w.code(text, column[row]);
+    // A chunk's rows fit the writer at their worst case, so each chunk is
+    // rendered as one block and written with one call.
+    let chunk_rows = (CHUNK / (width * codec::FIELD_ROOM).max(1)).max(1);
+    let header = table.schema().names().join(",") + "\n";
+    let mut w = codec::Writer::with_capacity(header.len() + CHUNK);
+    w.str(&header);
+    let mut start = 0;
+    loop {
+        let end = (start + chunk_rows).min(table.len());
+        if width == 0 {
+            for _ in start..end {
+                w.byte(b'\n'); // a row of no codes is still a line
+            }
         }
-        if columns.is_empty() {
-            w.byte(b'\n'); // a row of no codes is still a line
+        w.rows(&texts, start..end, |r, k| columns[k][r]);
+        out.write_all(w.as_bytes())?;
+        w.clear();
+        if end == table.len() {
+            break;
         }
-        if w.len() >= CHUNK {
-            out.write_all(w.as_bytes())?;
-            w.clear();
-        }
+        start = end;
     }
-    out.write_all(w.as_bytes())?;
     out.flush()?;
     Ok(())
 }
