@@ -86,9 +86,9 @@ struct Cell {
 }
 
 fn grid(smoke: bool) -> Vec<Cell> {
-    // 4096-byte pages (the paper's disk model); 8 shards cover λ = 50
-    // with 6–7 values each, and 16 pages/shard keep every split
-    // single-pass, which is what `model_pages` assumes.
+    // 4096-byte pages (the paper's disk model) and a budget of
+    // 8 × 16 + 2 = 130 pages, above the λ + 2 = 52 the join and the ST
+    // merge keep resident.
     let shard = ShardConfig::new(PageConfig::paper(), 8, 16).expect("valid shard config");
     if smoke {
         // Tiny pages at smoke scale so hundreds of page boundaries are
@@ -140,7 +140,6 @@ struct CellResult {
     in_memory_ms: Option<f64>,
     identical: Option<bool>,
     groups: usize,
-    shard_split_totals: Vec<u64>,
 }
 
 fn run_cell(cell: &Cell, cfg: &Config) -> BenchResult<CellResult> {
@@ -188,7 +187,6 @@ fn run_cell(cell: &Cell, cfg: &Config) -> BenchResult<CellResult> {
         in_memory_ms,
         identical,
         groups: out.groups,
-        shard_split_totals: out.shard_stats.iter().map(|s| s.total()).collect(),
     })
 }
 
@@ -211,10 +209,9 @@ fn run(cfg: &Config) -> BenchResult<(String, bool)> {
     let mut cells_json = String::new();
     for (i, r) in results.iter().enumerate() {
         let sep = if i + 1 < results.len() { "," } else { "" };
-        let splits: Vec<String> = r.shard_split_totals.iter().map(u64::to_string).collect();
         let _ = writeln!(
             cells_json,
-            r#"    {{ "n": {n}, "lambda": 50, "l": {L}, "d": {D}, "page_size": {ps}, "shards": {sh}, "pages_per_shard": {pps}, "groups": {groups}, "io": {{ "page_reads": {reads}, "page_writes": {writes}, "total": {total} }}, "model_pages": {model}, "io_over_model": {ratio:.3}, "sharded_ms": {sms:.1}, "in_memory_ms": {imms}, "identical_to_in_memory": {ident}, "shard_split_io": [{splits}] }}{sep}"#,
+            r#"    {{ "n": {n}, "lambda": 50, "l": {L}, "d": {D}, "page_size": {ps}, "shards": {sh}, "pages_per_shard": {pps}, "groups": {groups}, "io": {{ "page_reads": {reads}, "page_writes": {writes}, "total": {total} }}, "model_pages": {model}, "io_over_model": {ratio:.3}, "sharded_ms": {sms:.1}, "in_memory_ms": {imms}, "identical_to_in_memory": {ident} }}{sep}"#,
             n = r.n,
             ps = r.shard.page().page_size,
             sh = r.shard.shards(),
@@ -230,7 +227,6 @@ fn run(cfg: &Config) -> BenchResult<(String, bool)> {
                 .in_memory_ms
                 .map_or("null".into(), |ms| format!("{ms:.1}")),
             ident = r.identical.map_or("null".into(), |b| b.to_string()),
-            splits = splits.join(", "),
         );
     }
     let json = format!(

@@ -14,9 +14,12 @@ pub enum EngineArg {
     Sharded {
         /// Page size in bytes (`--page-size`, default 4096).
         page_size: usize,
-        /// Shard fan-out (`--shards`, default 8).
+        /// Shard fan-out (`--shards`, default 8). With `--shard-pages` it
+        /// sets only the page budget, `shards · shard-pages + 2`; the
+        /// engine makes the same passes at every fan-out.
         shards: usize,
-        /// Buffer pages per shard (`--shard-pages`, default 16).
+        /// Buffer pages per shard (`--shard-pages`, default 16): the other
+        /// factor of the page budget.
         pages_per_shard: usize,
     },
 }
@@ -186,6 +189,7 @@ pub const USAGE: &str = "\
 usage:
   anatomy stats   --data F --schema F --sensitive NAME
   anatomy publish --data F --schema F --sensitive NAME --l N --qit F --st F [--engine in-memory|sharded] [--page-size N] [--shards N] [--shard-pages N] [--seed N] [--audit] [--metrics F] [--trace F]
+                  (sharded: the page budget is shards x shard-pages + 2, at least the sensitive domain size + 2)
   anatomy verify  --qit F --st F --schema F --sensitive NAME --l N [--stage STAGE]
   anatomy verify  --list-checks [--stage STAGE]
   anatomy query   --qit F --st F --schema F --sensitive NAME --l N --query 'qi0=1|2;s=0' [--metrics F] [--trace F]

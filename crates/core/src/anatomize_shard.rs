@@ -2,58 +2,59 @@
 //!
 //! [`anatomize_external`](crate::anatomize_external) reproduces Theorem 3
 //! at paper scale (46k rows, 50 pages); this module is the production-scale
-//! engine behind it, targeting 10M–100M tuples. It exploits the structure
-//! Theorem 3 proves: per-sensitive-value buckets are **independent until
-//! group formation**, and group formation itself depends only on the
-//! bucket *sizes*. The pipeline:
+//! engine behind it, targeting 10M–100M tuples. It exploits two facts.
+//! Group formation depends only on the per-value bucket *sizes*, and the
+//! QIT publishes every tuple's exact QI values in input order, so all that
+//! group formation computes per tuple is one group id. The tuples
+//! therefore stay in the row-ordered staged input `(qi…, s)`: only bucket
+//! counts and one-word group ids go through the paged passes, and the ids
+//! are joined back onto the input at the end. The pipeline:
 //!
-//! 1. **`shard_partition`** — hash the input file into `S` shard files by
-//!    contiguous sensitive-value range with [`fn@hash_partition`]. With
-//!    one shard the input already is that shard, and the pass is skipped.
-//! 2. **`bucket_split`** (concurrent on [`Pool::global`]) — each shard
-//!    splits into its per-value bucket files against its own
-//!    [`BufferPool`] and [`IoCounter`], so shards never contend for pages
-//!    and every shard's I/O bill is reported separately.
-//! 3. **`group_schedule`** — stream the frequency ladder
+//! 1. **`bucket_count`** — one scan of the input counts each value's
+//!    bucket.
+//! 2. **`group_schedule`** — stream the frequency ladder
 //!    ([`ladder_schedule`]) over the λ bucket **counts** with O(λ)
 //!    resident state, writing each value's group-id sequence to a
 //!    per-value schedule file through λ simultaneously open writers (the
 //!    O(λ) pages of Theorem 3's group phase).
-//! 4. **`bucket_assign`** — per value, replay the in-memory engine's
+//! 3. **`bucket_assign`** — per value, replay the in-memory engine's
 //!    Fisher–Yates shuffle (draw consumption depends only on the bucket
-//!    size, so the RNG stream is reproduced exactly), then scan the bucket
-//!    file with sequential prefetch, pairing each tuple with its group id
-//!    and emitting `(row_id, qi…, gid)` runs through double-buffered
-//!    writes.
-//! 5. **`residue_assign`** — replay the ≤ l−1 residue draws against the
-//!    schedule files.
-//! 6. **`qit_merge` / `st_merge`** — restore the original row order for
-//!    the QIT and (group, value) order for the ST. Row ids are exactly
-//!    `0..n` and group ids exactly `0..m`, so each merge fills a window of
-//!    about one output page by direct index, reading the λ runs in turn:
-//!    no comparisons and no heap.
+//!    size, so the RNG stream is reproduced exactly) and pair each
+//!    scheduled group with the bucket position its draw pops. The value's
+//!    group ids go to a one-word gid file in bucket-position order, which
+//!    is row order within the value; `u32::MAX` stands for each of the
+//!    ≤ l−1 positions left for residue assignment.
+//! 4. **`residue_assign`** — replay the residue draws against the
+//!    schedule files, recording a (value, position) → group table.
+//! 5. **`qit_merge`** — a sequential join: scan the input again, give
+//!    each row the next entry of its value's gid file (or its residue
+//!    group) and write `(qi…, gid)`.
+//! 6. **`st_merge`** — the ST in (group, value) order. Group ids are
+//!    exactly `0..m`, so the merge fills a window of about one output
+//!    page by direct index, reading the λ schedule files in turn: no
+//!    comparisons and no heap.
 //!
-//! Because steps 3–5 replay the exact RNG draw sequence of the in-memory
+//! Because steps 2–4 replay the exact RNG draw sequence of the in-memory
 //! [`anatomize`](fn@crate::anatomize), the published QIT/ST are **bit-for-bit
 //! identical** to `AnatomizedTables::publish(md, anatomize(md, cfg), l)` —
 //! the differential oracle `tests/sharded_differential.rs` and the
 //! `bench_anatomize_external` identity gate pin this at every overlapping
 //! scale.
 //!
-//! Total logical I/O stays `O(n/b)`: each phase makes a constant number of
-//! sequential passes over input-sized or smaller files ([`model_pages`]
-//! gives the closed-form bill the benchmark gates against). Resident state
-//! is O(λ) buffer pages plus one transient O(max bucket) permutation array
-//! during `bucket_assign` — the unavoidable cost of replaying the shuffle.
+//! Total logical I/O stays `O(n/b)`: two scans of the input, a constant
+//! number of sequential passes over one-word-per-tuple files, and the
+//! QIT/ST writes ([`model_pages`] gives the closed-form bill the
+//! benchmarks gate against). Resident state is O(λ) buffer pages plus a
+//! transient O(max bucket) permutation and gid array during
+//! `bucket_assign` — the unavoidable cost of replaying the shuffle. Every
+//! page operation runs on the calling thread.
 
 use crate::anatomize::{ladder_schedule, round_robin_schedule, AnatomizeConfig, BucketStrategy};
-use crate::anatomize_io::tables_from_files;
+use crate::anatomize_io::{microdata_to_file, tables_from_files};
 use crate::diversity::check_eligibility;
 use crate::error::CoreError;
-use anatomy_pool::{ItemCost, Pool};
 use anatomy_storage::{
-    hash_partition, BufferPool, IoCounter, IoStats, PageConfig, SeqReader, SeqWriter, SimFile,
-    U32RowCodec,
+    BufferPool, IoCounter, IoStats, PageConfig, SeqReader, SeqWriter, SimFile, U32RowCodec,
 };
 use anatomy_tables::Microdata;
 use rand::rngs::StdRng;
@@ -61,19 +62,23 @@ use rand::seq::SliceRandom;
 use rand::{RngExt, SeedableRng};
 
 /// Extra pages the budget reserves beyond one page per sensitive value:
-/// the merges' output page and window, and the double-buffered writer of
-/// the assigned runs (fill one page while the device drains the other).
+/// the QIT join's input reader and output page, or the ST merge's output
+/// page and window.
 pub const DOUBLE_BUFFER_SLACK: usize = 2;
 
-/// Configuration of the sharded engine: page geometry plus the shard
-/// fan-out and the per-shard page budget.
+/// The gid-file entry of a bucket position left for residue assignment.
+const RESIDUE: u32 = u32::MAX;
+
+/// Configuration of the sharded engine: page geometry plus a page budget,
+/// given as a shard fan-out times pages per shard.
 ///
-/// The run's total page budget is **derived** from this configuration —
+/// The run's page budget is **derived** from this configuration —
 /// `shards · pages_per_shard + DOUBLE_BUFFER_SLACK` — instead of the fixed
-/// 50-page pool the external path uses. [`anatomize_sharded`] fails with
-/// [`CoreError::ShardBudgetTooSmall`] when the sensitive domain demands
-/// more resident state (one page per value at the schedule and merge
-/// phases) than that budget supplies.
+/// 50-page pool the external path uses. That budget is all the two
+/// numbers set: the engine makes the same passes at every fan-out.
+/// [`anatomize_sharded`] fails with [`CoreError::ShardBudgetTooSmall`] when
+/// the sensitive domain demands more resident state (one page per value at
+/// the join and merge phases) than that budget supplies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardConfig {
     page: PageConfig,
@@ -84,9 +89,7 @@ pub struct ShardConfig {
 impl ShardConfig {
     /// A validated configuration. Errors with
     /// [`CoreError::InvalidShardConfig`] when `shards` is zero or
-    /// `pages_per_shard` is below 3 (the minimum
-    /// [`fn@hash_partition`] can work with:
-    /// one input page plus two output pages).
+    /// `pages_per_shard` is below 3.
     pub fn new(page: PageConfig, shards: usize, pages_per_shard: usize) -> Result<Self, CoreError> {
         if shards == 0 {
             return Err(CoreError::InvalidShardConfig(
@@ -95,8 +98,7 @@ impl ShardConfig {
         }
         if pages_per_shard < 3 {
             return Err(CoreError::InvalidShardConfig(format!(
-                "pages_per_shard must be at least 3 (one input page plus two output pages \
-                 for partitioning), got {pages_per_shard}"
+                "pages_per_shard must be at least 3, got {pages_per_shard}"
             )));
         }
         Ok(ShardConfig {
@@ -106,8 +108,9 @@ impl ShardConfig {
         })
     }
 
-    /// 4096-byte pages, 8 shards, 16 pages per shard — a sensible default
-    /// for the CENSUS-shaped workloads (λ = 50) of the benchmarks.
+    /// 4096-byte pages and a budget of 8 shards × 16 pages + 2 — a
+    /// sensible default for the CENSUS-shaped workloads (λ = 50) of the
+    /// benchmarks.
     pub fn paper() -> Self {
         ShardConfig {
             page: PageConfig::paper(),
@@ -121,13 +124,12 @@ impl ShardConfig {
         self.page
     }
 
-    /// Number of shards the sensitive domain is split into (clamped to λ
-    /// at run time — a shard needs at least one sensitive value).
+    /// The shard fan-out: one factor of the page budget.
     pub fn shards(&self) -> usize {
         self.shards
     }
 
-    /// Buffer pages each shard's splitter may hold resident.
+    /// Buffer pages per shard: the other factor of the page budget.
     pub fn pages_per_shard(&self) -> usize {
         self.pages_per_shard
     }
@@ -140,9 +142,10 @@ impl ShardConfig {
             .saturating_add(DOUBLE_BUFFER_SLACK)
     }
 
-    /// Pages the widest phase of a run over a sensitive domain of
-    /// `lambda` values keeps resident: one run or schedule page per value
-    /// during the merges, plus the output page and the merge window.
+    /// Pages the widest phases of a run over a sensitive domain of
+    /// `lambda` values keep resident: one gid-file or schedule page per
+    /// value, plus the QIT join's input and output pages or the ST merge's
+    /// output page and window.
     pub fn required_budget(lambda: usize) -> usize {
         (lambda + DOUBLE_BUFFER_SLACK).max(4)
     }
@@ -166,11 +169,8 @@ pub struct ShardedAnatomizeOutput {
     pub st: SimFile,
     /// Number of QI-groups created (`⌊n/l⌋`).
     pub groups: usize,
-    /// Total logical I/O of the run (all phases, all shards).
+    /// Total logical I/O of the run (all phases).
     pub stats: IoStats,
-    /// Per-shard I/O of the concurrent `bucket_split` phase, in shard
-    /// order.
-    pub shard_stats: Vec<IoStats>,
 }
 
 impl ShardedAnatomizeOutput {
@@ -186,68 +186,39 @@ impl ShardedAnatomizeOutput {
 }
 
 /// The closed-form page bill of [`anatomize_sharded`] — the `O(n/b)` model
-/// the benchmark's I/O gate compares measurements against.
+/// the benchmarks' I/O gates compare measurements against.
 ///
-/// Counts every sequential pass the pipeline makes (input → shards →
-/// buckets → schedule → assigned runs → QIT/ST), with one partial-page
-/// slack term per file opened; with one shard there is no shard pass.
-/// Assumes single-pass partitioning, i.e.
-/// `pages_per_shard` of at least the widest shard's value count plus one;
-/// narrower budgets degrade gracefully to multi-pass splits whose extra
-/// passes the model does not include.
+/// Counts every sequential pass the pipeline makes, with one partial-page
+/// slack term per file opened: two scans of the `(qi…, s)` input, the
+/// one-word schedule files written once and read twice (plus the residual
+/// values' files once more), the one-word gid files written and read once,
+/// and the QIT and ST written once. Only the page size of `shard` enters:
+/// the fan-out changes no pass.
 pub fn model_pages(n: usize, d: usize, lambda: usize, l: usize, shard: &ShardConfig) -> u64 {
     let page = shard.page();
     let pages = |records: usize, arity: usize| -> u64 {
         page.pages_for(records, arity * 4).unwrap_or(0) as u64
     };
-    let s = shard.shards().min(lambda).max(1) as u64;
     let lam = lambda as u64;
-    let input = pages(n, d + 2);
-    let sched = pages(n, 1);
+    let input = pages(n, d + 1);
+    // Schedule and gid files: one word per tuple over λ files.
+    let ids = pages(n, 1) + lam;
     let qit = pages(n, d + 1);
     let st = pages(n, 3);
-    // shard_partition: read the input once, write S shard files; one
-    // shard is the input itself.
-    let shard_partition = if s == 1 { 0 } else { input + (input + s) };
-    // bucket_split: read the shards, write λ bucket files.
-    let bucket_split = (input + s) + (input + lam);
-    // group_schedule: write λ per-value schedule files.
-    let group_schedule = sched + lam;
-    // bucket_assign: read each value's schedule and bucket, write the
-    // assigned runs (same arity as the input).
-    let bucket_assign = (sched + lam) + (input + lam) + (input + lam);
+    // bucket_count: read the input.
+    let bucket_count = input;
+    // group_schedule: write the schedule files.
+    let group_schedule = ids;
+    // bucket_assign: read the schedule files, write the gid files.
+    let bucket_assign = ids + ids;
     // residue_assign: re-read the schedule files of the ≤ l−1 residual
     // values.
-    let residue = (l as u64).saturating_sub(1) * (sched / lam.max(1) + 1);
-    // qit_merge: read the assigned runs, write the QIT.
-    let qit_merge = (input + lam) + (qit + 1);
+    let residue = (l as u64).saturating_sub(1) * (pages(n, 1) / lam.max(1) + 1);
+    // qit_merge: read the input and the gid files, write the QIT.
+    let qit_merge = input + ids + (qit + 1);
     // st_merge: read the schedule files again, write the ST.
-    let st_merge = (sched + lam) + (st + 1);
-    shard_partition + bucket_split + group_schedule + bucket_assign + residue + qit_merge + st_merge
-}
-
-/// Serialize `md` into `(qi_1, …, qi_d, s, row_id)` records without
-/// charging `counter` (the microdata models pre-existing data; *reading*
-/// it is charged, by the first partition pass). The trailing row id is the
-/// record identifier that lets the final merge restore the original row
-/// order.
-fn microdata_to_rid_file(md: &Microdata, cfg: PageConfig) -> Result<SimFile, CoreError> {
-    let d = md.qi_count();
-    let codec = U32RowCodec::new(d + 2);
-    let scratch_pool = BufferPool::unbounded();
-    let mut file = SimFile::new();
-    let mut w = SeqWriter::open(&mut file, codec, cfg, &scratch_pool, IoCounter::new())?;
-    let mut row = vec![0u32; d + 2];
-    for r in 0..md.len() {
-        for (i, slot) in row.iter_mut().enumerate().take(d) {
-            *slot = md.qi_value(r, i).code();
-        }
-        row[d] = md.sensitive_value(r).code();
-        row[d + 1] = r as u32;
-        w.push(&row)?;
-    }
-    w.finish()?;
-    Ok(file)
+    let st_merge = ids + (st + 1);
+    bucket_count + group_schedule + bucket_assign + residue + qit_merge + st_merge
 }
 
 /// The `pick`-th group id (ascending) among `0..m` that is neither in the
@@ -276,15 +247,16 @@ fn nth_candidate(pick: usize, m: usize, sched: &[u32], picked: &[u32]) -> Option
 
 /// Run the sharded out-of-core `Anatomize` on `md`.
 ///
-/// `counter` accumulates the run's total logical I/O (the per-shard split
-/// counters are folded into it and also reported separately in the
-/// output). The page budget is derived from `shard` — see [`ShardConfig`].
+/// `counter` accumulates the run's total logical I/O; every page
+/// operation runs on the calling thread. The page budget is derived from
+/// `shard` — see [`ShardConfig`].
 ///
 /// The published QIT/ST are bit-for-bit identical to the in-memory
 /// engine's:
 /// `AnatomizedTables::publish(md, &anatomize(md, config)?, config.l)`.
 ///
-/// Row ids are stored as `u32`, so `md` may hold at most `u32::MAX` rows.
+/// Bucket positions are stored as `u32`, so `md` may hold at most
+/// `u32::MAX` rows.
 pub fn anatomize_sharded(
     md: &Microdata,
     config: &AnatomizeConfig,
@@ -313,87 +285,36 @@ pub fn anatomize_sharded(
             st: SimFile::new(),
             groups: 0,
             stats: IoStats::default(),
-            shard_stats: Vec::new(),
         });
     }
     if n > u32::MAX as usize {
         return Err(CoreError::InvalidShardConfig(format!(
-            "row ids are u32: {n} rows exceed the 2^32 - 1 limit"
+            "bucket positions are u32: {n} rows exceed the 2^32 - 1 limit"
         )));
     }
 
     let cfg = shard.page();
     let pool = BufferPool::new(budget);
     let before = counter.stats();
-    let tuple_codec = U32RowCodec::new(d + 2);
-    let sched_codec = U32RowCodec::new(1);
+    let row_codec = U32RowCodec::new(d + 1);
+    let gid_codec = U32RowCodec::new(1);
 
-    let input = microdata_to_rid_file(md, cfg)?;
+    // The row-ordered input `(qi…, s)`. Staging it is not billed (the
+    // microdata models pre-existing data); every read of it is.
+    let input = microdata_to_file(md, cfg)?;
 
-    // ---- Phase 1: partition into shards by sensitive-value range. ----
-    // Shard i covers the contiguous value range [⌈iλ/S⌉, ⌈(i+1)λ/S⌉).
-    let s_count = shard.shards().min(lambda).max(1);
-    let range_lo = |s: usize| -> usize { (s * lambda).div_ceil(s_count) };
-    let shard_files = {
-        let _phase = obs.span("shard_partition");
-        if s_count == 1 {
-            // The one shard is the whole input: split it directly rather
-            // than copy it page for page.
-            vec![input]
-        } else {
-            let shards = hash_partition(
-                &input,
-                tuple_codec,
-                |rec| (rec[d] as usize * s_count / lambda) as u32,
-                s_count,
-                cfg,
-                &pool,
-                counter,
-            )?;
-            drop(input);
-            shards
+    // ---- Phase 1: count each value's bucket. ----
+    let counts = {
+        let _phase = obs.span("bucket_count");
+        let mut counts = vec![0usize; lambda];
+        let mut reader = SeqReader::open(&input, row_codec, &pool, counter.clone())?;
+        while let Some(row) = reader.next_row()? {
+            counts[row[d] as usize] += 1;
         }
+        counts
     };
 
-    // ---- Phase 2: split each shard into per-value buckets, concurrently
-    // on the global pool. Each shard gets its own page budget and its own
-    // I/O counter; nothing is shared, so the split parallelizes freely.
-    let shard_jobs: Vec<(usize, SimFile)> = shard_files.into_iter().enumerate().collect();
-    let pages_per_shard = shard.pages_per_shard();
-    let split_results: Vec<Result<(Vec<SimFile>, IoStats), CoreError>> = {
-        let _phase = obs.span("bucket_split");
-        Pool::global().par_map_hinted(&shard_jobs, ItemCost::Heavy, |(s, file)| {
-            let lo = range_lo(*s) as u32;
-            let width = range_lo(*s + 1) - range_lo(*s);
-            let shard_pool = BufferPool::new(pages_per_shard);
-            let shard_counter = IoCounter::new();
-            let buckets = hash_partition(
-                file,
-                tuple_codec,
-                |rec| rec[d] - lo,
-                width,
-                cfg,
-                &shard_pool,
-                &shard_counter,
-            )?;
-            Ok((buckets, shard_counter.stats()))
-        })
-    };
-    drop(shard_jobs);
-
-    let mut bucket_files: Vec<SimFile> = Vec::with_capacity(lambda);
-    let mut shard_stats: Vec<IoStats> = Vec::with_capacity(s_count);
-    for result in split_results {
-        let (buckets, stats) = result?;
-        bucket_files.extend(buckets);
-        counter.add_reads(stats.page_reads);
-        counter.add_writes(stats.page_writes);
-        shard_stats.push(stats);
-    }
-    debug_assert_eq!(bucket_files.len(), lambda);
-    let counts: Vec<usize> = bucket_files.iter().map(SimFile::record_count).collect();
-
-    // ---- Phase 3: stream the group schedule over the bucket counts. ----
+    // ---- Phase 2: stream the group schedule over the bucket counts. ----
     // O(λ) resident state: the ladder itself plus one open writer (= one
     // buffer page) per sensitive value.
     let mut sched_files: Vec<SimFile> = (0..lambda).map(|_| SimFile::new()).collect();
@@ -401,7 +322,7 @@ pub fn anatomize_sharded(
         let _phase = obs.span("group_schedule");
         let mut writers: Vec<SeqWriter<'_>> = sched_files
             .iter_mut()
-            .map(|f| SeqWriter::open(f, sched_codec, cfg, &pool, counter.clone()))
+            .map(|f| SeqWriter::open(f, gid_codec, cfg, &pool, counter.clone()))
             .collect::<Result<_, _>>()?;
         let mut gid = 0u32;
         let mut write_err: Option<anatomy_storage::StorageError> = None;
@@ -431,123 +352,64 @@ pub fn anatomize_sharded(
     };
     let m = outcome.groups as usize;
 
-    // ---- Phase 4: replay the shuffles, pair tuples with group ids. ----
+    // ---- Phase 3: replay the shuffles, write each value's group ids. ----
     // The in-memory engine seeds one StdRng and shuffles every bucket in
     // value order before drawing anything else; shuffle consumption
     // depends only on the bucket length, so shuffling the index range
     // 0..s_v reproduces the exact draw stream.
     let mut rng = StdRng::seed_from_u64(config.seed);
-    let mut assigned_files: Vec<SimFile> = (0..lambda).map(|_| SimFile::new()).collect();
-    // Residue tuples per value, in pop order, as run records
-    // (row_id, qi…, gid) whose gid is filled in by phase 5. At most l − 1
-    // across all values (Property 1).
-    let mut residues: Vec<Vec<Vec<u32>>> = vec![Vec::new(); lambda];
+    let mut gid_files: Vec<SimFile> = (0..lambda).map(|_| SimFile::new()).collect();
+    // Per value, the bucket positions left for residue assignment, in pop
+    // order. At most l − 1 across all values (Property 1).
+    let mut residue_positions: Vec<Vec<u32>> = vec![Vec::new(); lambda];
     {
         let _phase = obs.span("bucket_assign");
-        let prefetch = budget.saturating_sub(4).clamp(1, 8);
+        let mut perm: Vec<u32> = Vec::new();
+        let mut gid_of_pos: Vec<u32> = Vec::new();
         for v in 0..lambda {
             let s_v = counts[v];
-            let mut perm: Vec<u32> = (0..s_v as u32).collect();
+            let left = s_v - sched_files[v].record_count();
+            perm.clear();
+            perm.extend(0..s_v as u32);
             perm.shuffle(&mut rng);
-            let draws = sched_files[v].record_count();
             // The k-th draw from this bucket pops the tuple at position
             // perm[s_v − 1 − k] and joins the k-th group of the value's
-            // schedule.
-            let mut gid_of_pos: Vec<u32> = vec![u32::MAX; s_v];
-            {
-                let mut reader =
-                    SeqReader::open(&sched_files[v], sched_codec, &pool, counter.clone())?;
-                let mut k = 0usize;
-                while let Some(rec) = reader.next_row()? {
-                    gid_of_pos[perm[s_v - 1 - k] as usize] = rec[0];
-                    k += 1;
-                }
+            // schedule. The pops after the last draw, from perm[left − 1]
+            // down to perm[0], happen during residue assignment.
+            gid_of_pos.clear();
+            gid_of_pos.resize(s_v, RESIDUE);
+            let mut reader = SeqReader::open(&sched_files[v], gid_codec, &pool, counter.clone())?;
+            let mut k = 0usize;
+            while let Some(rec) = reader.next_row()? {
+                gid_of_pos[perm[s_v - 1 - k] as usize] = rec[0];
+                k += 1;
             }
-            // Remaining pops happen during residue assignment, still in
-            // perm order.
-            let resid_pos: Vec<u32> = (0..s_v - draws)
-                .map(|j| perm[s_v - 1 - draws - j])
-                .collect();
-            drop(perm);
-
-            let mut stash: Vec<Option<Vec<u32>>> = vec![None; resid_pos.len()];
-            {
-                let mut reader = SeqReader::open_with_prefetch(
-                    &bucket_files[v],
-                    tuple_codec,
-                    &pool,
-                    counter.clone(),
-                    prefetch,
-                )?;
-                let mut w = SeqWriter::open_buffered(
-                    &mut assigned_files[v],
-                    tuple_codec,
-                    cfg,
-                    &pool,
-                    counter.clone(),
-                    2,
-                )?;
-                let mut out = vec![0u32; d + 2];
-                let mut p = 0usize;
-                while let Some(rec) = reader.next_row()? {
-                    let gid = *gid_of_pos.get(p).ok_or_else(|| {
-                        CoreError::InvalidPartition(format!(
-                            "bucket {v} holds more records than its metadata promised"
-                        ))
-                    })?;
-                    out[0] = rec[d + 1];
-                    out[1..=d].copy_from_slice(&rec[..d]);
-                    out[d + 1] = gid;
-                    if gid != u32::MAX {
-                        w.push(&out)?;
-                    } else {
-                        let j =
-                            resid_pos
-                                .iter()
-                                .position(|&q| q as usize == p)
-                                .ok_or_else(|| {
-                                    CoreError::InvalidPartition(format!(
-                                        "bucket {v}: position {p} is neither drawn nor residual"
-                                    ))
-                                })?;
-                        stash[j] = Some(out.clone());
-                    }
-                    p += 1;
-                }
-                w.finish()?;
+            drop(reader);
+            residue_positions[v] = perm[..left].iter().rev().copied().collect();
+            let mut w = SeqWriter::open(&mut gid_files[v], gid_codec, cfg, &pool, counter.clone())?;
+            for &gid in &gid_of_pos {
+                w.push(&[gid])?;
             }
-            residues[v] = stash
-                .into_iter()
-                .map(|slot| {
-                    slot.ok_or_else(|| {
-                        CoreError::InvalidPartition(format!(
-                            "bucket {v} ended before all residual positions were seen"
-                        ))
-                    })
-                })
-                .collect::<Result<_, _>>()?;
-            // The bucket file is fully consumed; release its memory now so
-            // peak footprint stays at ~2 input-sized file sets.
-            bucket_files[v] = SimFile::new();
+            w.finish()?;
         }
     }
-    drop(bucket_files);
 
-    // ---- Phase 5: replay the residue draws (Lines 9–12). ----
+    // ---- Phase 4: replay the residue draws (Lines 9–12). ----
     // Visit order comes from the schedule; candidate lists are replayed
     // against the per-value schedule files exactly as the in-memory
-    // engine maintains them (built once per value, shrunk per pick).
-    let mut residue_rows: Vec<Residue> = Vec::new();
+    // engine maintains them (built once per value, shrunk per pick). Each
+    // residue is kept as (value, position, gid), sorted for the join.
+    let mut residues: Vec<(u32, u32, u32)> = Vec::new();
     {
         let _phase = obs.span("residue_assign");
         for &v in &outcome.residual {
-            let pending = std::mem::take(&mut residues[v as usize]);
+            let pending = std::mem::take(&mut residue_positions[v as usize]);
             if pending.is_empty() {
                 continue;
             }
             let sched: Vec<u32> = {
                 let file = &sched_files[v as usize];
-                let mut reader = SeqReader::open(file, sched_codec, &pool, counter.clone())?;
+                let mut reader = SeqReader::open(file, gid_codec, &pool, counter.clone())?;
                 let mut sched = Vec::with_capacity(file.record_count());
                 while let Some(rec) = reader.next_row()? {
                     sched.push(rec[0]);
@@ -555,7 +417,7 @@ pub fn anatomize_sharded(
                 sched
             };
             let mut picked: Vec<u32> = Vec::new();
-            for mut record in pending {
+            for pos in pending {
                 let available = m - sched.len() - picked.len();
                 if available == 0 {
                     return Err(CoreError::ResidueUnassignable { sensitive_code: v });
@@ -567,27 +429,25 @@ pub fn anatomize_sharded(
                     ))
                 })?;
                 picked.push(gid);
-                record[d + 1] = gid;
-                residue_rows.push(Residue { record, value: v });
+                residues.push((v, pos, gid));
             }
         }
+        residues.sort_unstable();
     }
 
-    // ---- Phase 6: back to original row order (QIT). ----
+    // ---- Phase 5: join the group ids onto the input rows (QIT). ----
     let qit = {
         let _phase = obs.span("qit_merge");
-        residue_rows.sort_unstable_by_key(|r| r.record[0]);
-        qit_merge(&assigned_files, &residue_rows, n, d, cfg, &pool, counter)?
+        qit_merge(&input, &gid_files, &residues, m, d, cfg, &pool, counter)?
     };
-    drop(assigned_files);
+    drop(gid_files);
+    drop(input);
 
-    // ---- Phase 7: to (group, value) order (ST). ----
+    // ---- Phase 6: to (group, value) order (ST). ----
     let st = {
         let _phase = obs.span("st_merge");
-        let mut residue_keys: Vec<(u32, u32)> = residue_rows
-            .iter()
-            .map(|r| (r.record[d + 1], r.value))
-            .collect();
+        let mut residue_keys: Vec<(u32, u32)> =
+            residues.iter().map(|&(v, _, gid)| (gid, v)).collect();
         residue_keys.sort_unstable();
         st_merge(&sched_files, &residue_keys, m, l, cfg, &pool, counter)?
     };
@@ -595,7 +455,6 @@ pub fn anatomize_sharded(
     obs.counter("core.sharded_runs").incr();
     obs.counter("core.rows_anatomized_sharded").add(n as u64);
     let stats = counter.stats().since(&before);
-    obs.gauge("sharded.shards").set(s_count as i64);
     obs.gauge("sharded.pages_read")
         .set(stats.page_reads.min(i64::MAX as u64) as i64);
     obs.gauge("sharded.pages_written")
@@ -606,125 +465,87 @@ pub fn anatomize_sharded(
         st,
         groups: m,
         stats,
-        shard_stats,
     })
 }
 
-/// A residue tuple after phase 5: its run record `(row_id, qi…, gid)` and
-/// its sensitive value.
-struct Residue {
-    record: Vec<u32>,
-    value: u32,
-}
-
-/// Phase 6: the QIT `(qi…, gid)` in the microdata's row order.
+/// Phase 5: the QIT `(qi…, gid)` in the microdata's row order, by one
+/// sequential join of the `(qi…, s)` input with the gid files.
 ///
-/// Each run holds run records `(row_id, qi…, gid)` ascending in row id
-/// (the partition passes keep input order), and the runs and `residues`
-/// (ascending in row id) hold every row id of `0..n` exactly once. So
-/// the QIT is filled one window of an output page's rows at a time, each
-/// record copied straight to slot `row_id − window start`. A row id that
-/// repeats, that nothing holds, or that is `n` or more is an
-/// [`CoreError::InvalidPartition`] naming the row.
+/// Gid file `v` lists value `v`'s group ids in bucket-position order,
+/// which is the order of its rows in the input, so each input row takes
+/// the next entry of its value's file. A `RESIDUE` entry takes its group
+/// from `residues`, ascending `(value, position, gid)` triples. A gid file
+/// that ends before its value's rows do or runs past them, a group id of
+/// `m` or more and a residue entry with no residue are an
+/// [`CoreError::InvalidPartition`] naming the value.
 ///
-/// Leases a page per run, the output page and the window's page.
+/// Leases a page per gid file, the input's page and the output page.
+#[allow(clippy::too_many_arguments)]
 fn qit_merge(
-    runs: &[SimFile],
-    residues: &[Residue],
-    n: usize,
+    input: &SimFile,
+    gid_files: &[SimFile],
+    residues: &[(u32, u32, u32)],
+    m: usize,
     d: usize,
     cfg: PageConfig,
     pool: &BufferPool,
     counter: &IoCounter,
 ) -> Result<SimFile, CoreError> {
-    let qit_codec = U32RowCodec::new(d + 1);
-    let mut readers: Vec<SeqReader<'_>> = runs
+    let row_codec = U32RowCodec::new(d + 1);
+    let mut gids: Vec<SeqReader<'_>> = gid_files
         .iter()
-        .map(|f| SeqReader::open(f, U32RowCodec::new(d + 2), pool, counter.clone()))
+        .map(|f| SeqReader::open(f, U32RowCodec::new(1), pool, counter.clone()))
         .collect::<Result<_, _>>()?;
+    let mut rows = SeqReader::open(input, row_codec, pool, counter.clone())?;
     let mut qit = SimFile::new();
-    let mut w = SeqWriter::open(&mut qit, qit_codec, cfg, pool, counter.clone())?;
-    let _window_page = pool.try_lease(1)?;
-    let rows_per_window = cfg.records_per_page(qit_codec.record_len())?;
-    let mut slots = vec![0u32; rows_per_window * (d + 1)];
-    let mut filled = vec![false; rows_per_window];
-    // Each run's next record, held while it belongs to a later window;
-    // empty once the run is exhausted.
-    let mut heads: Vec<Vec<u32>> = readers
-        .iter_mut()
-        .map(|r| Ok(r.next_row()?.map(<[u32]>::to_vec).unwrap_or_default()))
-        .collect::<Result<_, CoreError>>()?;
-    let mut pending = residues.iter().peekable();
-    for lo in (0..n).step_by(rows_per_window) {
-        let hi = (lo + rows_per_window).min(n);
-        for (reader, head) in readers.iter_mut().zip(&mut heads) {
-            if head.is_empty() || head[0] as usize >= hi {
-                continue;
-            }
-            place_row(head, lo, &mut slots, &mut filled)?;
-            loop {
-                match reader.next_row()? {
-                    Some(rec) if (rec[0] as usize) < hi => {
-                        place_row(rec, lo, &mut slots, &mut filled)?;
-                    }
-                    Some(rec) => {
-                        head.copy_from_slice(rec);
-                        break;
-                    }
-                    None => {
-                        head.clear();
-                        break;
-                    }
-                }
-            }
+    let mut w = SeqWriter::open(&mut qit, row_codec, cfg, pool, counter.clone())?;
+    // Each value's next bucket position.
+    let mut next = vec![0u32; gid_files.len()];
+    let mut out = vec![0u32; d + 1];
+    while let Some(row) = rows.next_row()? {
+        let v = row[d] as usize;
+        let pos = &mut next[v];
+        let Some(&[entry]) = gids[v].next_row()? else {
+            return Err(CoreError::InvalidPartition(format!(
+                "QIT merge: the gid file of value {v} ends after {pos} of its rows"
+            )));
+        };
+        let gid = if entry == RESIDUE {
+            let key = (v as u32, *pos);
+            let i = residues
+                .binary_search_by_key(&key, |&(value, p, _)| (value, p))
+                .map_err(|_| {
+                    CoreError::InvalidPartition(format!(
+                        "QIT merge: position {pos} of value {v} is marked residue but has none"
+                    ))
+                })?;
+            residues[i].2
+        } else {
+            entry
+        };
+        if gid as usize >= m {
+            return Err(CoreError::InvalidPartition(format!(
+                "QIT merge: value {v} names group {gid}, outside 0..{m}"
+            )));
         }
-        while let Some(r) = pending.next_if(|r| (r.record[0] as usize) < hi) {
-            place_row(&r.record, lo, &mut slots, &mut filled)?;
-        }
-        for (j, slot) in slots.chunks_exact(d + 1).take(hi - lo).enumerate() {
-            if !std::mem::take(&mut filled[j]) {
-                return Err(CoreError::InvalidPartition(format!(
-                    "QIT merge: row {} is in no run",
-                    lo + j
-                )));
-            }
-            w.push(slot)?;
-        }
+        *pos += 1;
+        out[..d].copy_from_slice(&row[..d]);
+        out[d] = gid;
+        w.push(&out)?;
     }
-    // Anything left over names a row past the last window.
-    let left = heads.iter().find(|h| !h.is_empty()).map(|h| h[0]);
-    if let Some(row) = left.or_else(|| pending.next().map(|r| r.record[0])) {
-        return Err(CoreError::InvalidPartition(format!(
-            "QIT merge: row id {row} is outside 0..{n}"
-        )));
+    for (v, reader) in gids.iter_mut().enumerate() {
+        if reader.next_row()?.is_some() {
+            return Err(CoreError::InvalidPartition(format!(
+                "QIT merge: the gid file of value {v} runs past its {} rows",
+                next[v]
+            )));
+        }
     }
     w.finish()?;
     Ok(qit)
 }
 
-/// Copy run record `rec` = `(row_id, qi…, gid)` into its slot of the
-/// window that starts at row `lo`; the caller has checked that the row
-/// lies below the window's end.
-fn place_row(
-    rec: &[u32],
-    lo: usize,
-    slots: &mut [u32],
-    filled: &mut [bool],
-) -> Result<(), CoreError> {
-    let row = rec[0] as usize;
-    // A row below the window belongs to one already complete.
-    let Some(j) = row.checked_sub(lo).filter(|&j| !filled[j]) else {
-        return Err(CoreError::InvalidPartition(format!(
-            "QIT merge: row {row} appears more than once"
-        )));
-    };
-    filled[j] = true;
-    let width = rec.len() - 1;
-    slots[j * width..(j + 1) * width].copy_from_slice(&rec[1..]);
-    Ok(())
-}
-
-/// Phase 7: the ST `(gid, value, 1)` in (group, value) order.
+/// Phase 6: the ST `(gid, value, 1)` in (group, value) order.
 ///
 /// Schedule file `v` lists, ascending, the groups value `v` joins, and
 /// each group of `0..m` is scheduled exactly `l` values. Visiting the
@@ -985,10 +806,6 @@ mod tests {
             measured as f64 >= model as f64 / 1.5,
             "measured {measured} implausibly below model {model}"
         );
-        // Per-shard stats cover the split phase and sum below the total.
-        assert_eq!(out.shard_stats.len(), 4);
-        let split_total: u64 = out.shard_stats.iter().map(|s| s.total()).sum();
-        assert!(split_total > 0 && split_total < measured);
     }
 
     #[test]
@@ -1115,8 +932,24 @@ mod tests {
     }
 
     #[test]
-    fn one_shard_splits_the_staged_input_without_a_copy() {
-        let n = 6000usize;
+    fn one_run_bills_each_pass_exactly() {
+        // 6 003 rows over 10 values (601 each for values 0–2, 600 for the
+        // rest) at l = 5: 1 200 groups and 3 residues, one in each of three
+        // values. 256-byte pages hold 32 input or QIT rows, 64 ids or 21
+        // ST records. Pass by pass:
+        // - bucket_count reads the input: ⌈6003/32⌉ = 188 pages;
+        // - group_schedule writes 10 schedule files of 599–600 ids, 10
+        //   pages each: 100;
+        // - bucket_assign reads them (100) and writes 10 gid files of
+        //   600–601 ids (100);
+        // - residue_assign re-reads the 3 residual values' schedules: 30;
+        // - qit_merge reads the input (188) and the gid files (100) and
+        //   writes the QIT (188);
+        // - st_merge reads the schedules (100) and writes ⌈6003/21⌉ = 286
+        //   ST pages.
+        const READS: u64 = 188 + 100 + 30 + 188 + 100 + 100;
+        const WRITES: u64 = 100 + 100 + 188 + 286;
+        let n = 6003usize;
         let tuples: Vec<(u32, u32)> = (0..n).map(|i| (i as u32 % 900, i as u32 % 10)).collect();
         let md = md_from(&tuples, 900, 10);
         let config = AnatomizeConfig::new(5);
@@ -1124,18 +957,24 @@ mod tests {
         let out = anatomize_sharded(&md, &config, &shard, &IoCounter::new()).unwrap();
         let qi_schema = md.table().schema().project(&[0]).unwrap();
         assert_eq!(out.into_tables(qi_schema, 5).unwrap(), oracle(&md, &config));
-        // The bill of this run while a one-shard run still copied the
-        // staged input into its shard: a read and a write of ⌈n/b⌉ pages.
-        const WITH_COPY_PASS: u64 = 2792;
-        let staged = shard.page().pages_for(n, 3 * 4).unwrap() as u64;
-        assert_eq!(out.stats.total(), WITH_COPY_PASS - 2 * staged);
+        assert_eq!(out.groups, 1200);
+        assert_eq!(
+            (out.stats.page_reads, out.stats.page_writes),
+            (READS, WRITES)
+        );
+        // The model charges every per-value file a partial page and every
+        // one of the l − 1 possible residual values a schedule file.
         let model = model_pages(n, 1, 10, 5, &shard);
+        assert_eq!(model, 1412);
         let measured = out.stats.total() as f64;
         assert!(
             measured <= model as f64 * 1.5 && measured >= model as f64 / 1.5,
             "measured {measured} vs model {model}"
         );
-        assert_eq!(out.shard_stats.len(), 1);
+        // The fan-out sets only the budget: the same run at 4 shards makes
+        // the same passes.
+        let wide = anatomize_sharded(&md, &config, &shard_cfg(256, 4, 8), &IoCounter::new());
+        assert_eq!(wide.unwrap().stats, out.stats);
     }
 
     /// A file of `rows` on 64-byte pages.
@@ -1156,30 +995,35 @@ mod tests {
         file
     }
 
-    /// Run records `(row_id, qi, gid)` for the given row ids (d = 1): the
-    /// QI code is 100 + row, the group row / 2.
-    fn run_of(rows: &[u32]) -> Vec<Vec<u32>> {
-        rows.iter().map(|&r| vec![r, 100 + r, r / 2]).collect()
-    }
-
-    /// The QIT merge of `runs` and `residues` over `n` rows (d = 1) on
-    /// 64-byte pages: eight rows per window.
-    fn merge_qit(runs: &[Vec<Vec<u32>>], residues: &[u32], n: usize) -> Result<SimFile, CoreError> {
-        let files: Vec<SimFile> = runs.iter().map(|r| file_of(r, 3)).collect();
-        let residues: Vec<Residue> = run_of(residues)
-            .into_iter()
-            .map(|record| Residue { record, value: 0 })
+    /// The QIT join of 20 input rows `(100 + r, r % 2)` (d = 1) with the
+    /// given per-value gid files and `(value, position, gid)` residues
+    /// over `m` groups, on 64-byte pages.
+    fn join(
+        gids: &[Vec<u32>],
+        residues: &[(u32, u32, u32)],
+        m: usize,
+    ) -> Result<SimFile, CoreError> {
+        let rows: Vec<Vec<u32>> = (0..20).map(|r| vec![100 + r, r % 2]).collect();
+        let files: Vec<SimFile> = gids
+            .iter()
+            .map(|g| file_of(&g.iter().map(|&x| vec![x]).collect::<Vec<_>>(), 1))
             .collect();
-        let cfg = PageConfig::with_page_size(64);
         qit_merge(
+            &file_of(&rows, 2),
             &files,
-            &residues,
-            n,
+            residues,
+            m,
             1,
-            cfg,
+            PageConfig::with_page_size(64),
             &BufferPool::unbounded(),
             &IoCounter::new(),
         )
+    }
+
+    /// Gid files giving row `r` group `r / 2`: each value's position `p`
+    /// gets group `p`.
+    fn halves() -> Vec<Vec<u32>> {
+        vec![(0..10).collect(), (0..10).collect()]
     }
 
     fn read_all(file: &SimFile, arity: usize) -> Vec<Vec<u32>> {
@@ -1203,52 +1047,60 @@ mod tests {
     }
 
     #[test]
-    fn qit_merge_restores_row_order_across_windows() {
-        let evens: Vec<u32> = (0..20).step_by(2).collect();
-        let odds: Vec<u32> = (1..20).step_by(2).filter(|&r| r != 9).collect();
-        let qit = merge_qit(&[run_of(&evens), run_of(&odds)], &[9], 20).unwrap();
+    fn qit_merge_joins_group_ids_onto_rows_in_order() {
+        // Row 9 (value 1, position 4) is a residue sent to group 4.
+        let mut gids = halves();
+        gids[1][4] = RESIDUE;
+        let qit = join(&gids, &[(1, 4, 4)], 10).unwrap();
         let expected: Vec<Vec<u32>> = (0..20).map(|r| vec![100 + r, r / 2]).collect();
         assert_eq!(read_all(&qit, 2), expected);
     }
 
     #[test]
-    fn qit_merge_refuses_a_repeated_row() {
-        let odds: Vec<u32> = (1..12).step_by(2).collect();
-        // Row 5 in two runs, in one run twice, and as a residue.
-        let twice = [0, 2, 4, 5, 6, 8, 10];
-        let msg = invalid(merge_qit(&[run_of(&twice), run_of(&odds)], &[], 12));
-        assert!(msg.contains("row 5 appears more than once"), "{msg}");
-        let within = [0, 1, 2, 3, 4, 5, 5, 6, 7, 8, 9, 10, 11];
-        let msg = invalid(merge_qit(&[run_of(&within)], &[], 12));
-        assert!(msg.contains("row 5 appears more than once"), "{msg}");
-        let evens: Vec<u32> = (0..12).step_by(2).collect();
-        let msg = invalid(merge_qit(&[run_of(&evens), run_of(&odds)], &[5], 12));
-        assert!(msg.contains("row 5 appears more than once"), "{msg}");
-        // A repeat whose first copy sits in an earlier, complete window.
-        let late = [1, 3, 5, 7, 9, 10, 11];
-        let early = [0, 2, 4, 6, 8, 3];
-        let msg = invalid(merge_qit(&[run_of(&early), run_of(&late)], &[], 12));
-        assert!(msg.contains("row 3 appears more than once"), "{msg}");
+    fn qit_merge_refuses_a_gid_file_that_ends_early_or_runs_long() {
+        let mut gids = halves();
+        gids[1].pop();
+        let msg = invalid(join(&gids, &[], 10));
+        assert!(
+            msg.contains("gid file of value 1 ends after 9 of its rows"),
+            "{msg}"
+        );
+        let mut gids = halves();
+        gids[0].push(3);
+        let msg = invalid(join(&gids, &[], 10));
+        assert!(
+            msg.contains("gid file of value 0 runs past its 10 rows"),
+            "{msg}"
+        );
     }
 
     #[test]
-    fn qit_merge_refuses_a_row_in_no_run() {
-        let evens: Vec<u32> = (0..12).step_by(2).collect();
-        let odds: Vec<u32> = (1..12).step_by(2).filter(|&r| r != 9).collect();
-        let msg = invalid(merge_qit(&[run_of(&evens), run_of(&odds)], &[], 12));
-        assert!(msg.contains("row 9 is in no run"), "{msg}");
+    fn qit_merge_refuses_a_group_past_m() {
+        let mut gids = halves();
+        gids[0][7] = 10;
+        let msg = invalid(join(&gids, &[], 10));
+        assert!(
+            msg.contains("value 0 names group 10, outside 0..10"),
+            "{msg}"
+        );
+        let mut gids = halves();
+        gids[1][4] = RESIDUE;
+        let msg = invalid(join(&gids, &[(1, 4, 12)], 10));
+        assert!(
+            msg.contains("value 1 names group 12, outside 0..10"),
+            "{msg}"
+        );
     }
 
     #[test]
-    fn qit_merge_refuses_a_row_id_past_n() {
-        let evens: Vec<u32> = (0..12).step_by(2).collect();
-        let odds: Vec<u32> = (1..12).step_by(2).collect();
-        let mut past = odds.clone();
-        past.push(12);
-        let msg = invalid(merge_qit(&[run_of(&evens), run_of(&past)], &[], 12));
-        assert!(msg.contains("row id 12 is outside 0..12"), "{msg}");
-        let msg = invalid(merge_qit(&[run_of(&evens), run_of(&odds)], &[40], 12));
-        assert!(msg.contains("row id 40 is outside 0..12"), "{msg}");
+    fn qit_merge_refuses_a_residue_entry_without_a_residue() {
+        let mut gids = halves();
+        gids[1][4] = RESIDUE;
+        let msg = invalid(join(&gids, &[(1, 5, 4)], 10));
+        assert!(
+            msg.contains("position 4 of value 1 is marked residue but has none"),
+            "{msg}"
+        );
     }
 
     /// The ST merge of per-value schedules (schedule `v` is value `v`'s

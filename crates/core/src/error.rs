@@ -44,8 +44,8 @@ pub enum CoreError {
     /// construction time.
     InvalidShardConfig(String),
     /// The sharded pipeline's resident state (one page per sensitive
-    /// value during group scheduling and the merges, plus double-buffer
-    /// slack) exceeds the page budget the [`ShardConfig`](crate::ShardConfig)
+    /// value during group scheduling, the QIT join and the ST merge, plus
+    /// two) exceeds the page budget the [`ShardConfig`](crate::ShardConfig)
     /// provides.
     ShardBudgetTooSmall {
         /// Pages the run would need resident at its widest phase.
@@ -88,7 +88,7 @@ impl fmt::Display for CoreError {
             CoreError::ShardBudgetTooSmall { required, budget } => write!(
                 f,
                 "shard budget of {budget} pages is too small: the run needs {required} resident \
-                 pages (one per sensitive value at the merge phases, plus double-buffer slack); \
+                 pages (one per sensitive value at the join and merge phases, plus two); \
                  raise pages_per_shard or the shard count"
             ),
             CoreError::Tables(e) => write!(f, "tables error: {e}"),

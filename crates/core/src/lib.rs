@@ -23,8 +23,9 @@
 //! * [`anatomize_io`] — the external, I/O-accounted variant whose cost is
 //!   the `O(n/b)` of Theorem 3 and the "anatomy" series of Figures 8–9;
 //! * [`anatomize_shard`] — the sharded out-of-core pipeline behind
-//!   `Engine::Sharded`, targeting 10M–100M tuples with concurrent
-//!   per-shard bucket splits and O(λ) resident merge state;
+//!   `Engine::Sharded`, targeting 10M–100M tuples: only bucket counts and
+//!   one group id per tuple go through its paged passes, with O(λ)
+//!   resident state;
 //! * [`published`] — the QIT/ST pair (Definition 3);
 //! * [`adversary`] — the QIT⋈ST reconstruction (Lemma 1) and breach
 //!   probabilities (Corollary 1, Theorem 1);

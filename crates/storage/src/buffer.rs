@@ -8,9 +8,8 @@
 //! narrated: every reader and writer must hold a [`PageLease`] and
 //! construction fails loudly when an algorithm would exceed its budget.
 //!
-//! The free count is a lock-free atomic so concurrent readers (the sharded
-//! anatomize pipeline leases per-shard budgets from worker threads) never
-//! serialize on a mutex just to charge pages.
+//! The free count is a lock-free atomic, so clones of one pool shared
+//! across threads never serialize on a mutex just to charge pages.
 
 use crate::error::StorageError;
 use std::sync::atomic::{AtomicUsize, Ordering};

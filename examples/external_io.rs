@@ -53,9 +53,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .run()?;
     let stats = release.io.expect("sharded runs report I/O");
     println!(
-        "\nEngine::Sharded: {} QI-groups across {} shards",
+        "\nEngine::Sharded: {} QI-groups with a {}-page budget",
         release.tables.group_count(),
-        shard.shards()
+        shard.budget()
     );
     println!(
         "  I/O bill: {} (model: {} pages)",

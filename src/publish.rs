@@ -47,9 +47,10 @@ use anatomy_tables::Microdata;
 /// * [`Engine::InMemory`] — the linear-time frequency ladder of Figure 3.
 ///   The default; holds the whole relation and partition in memory.
 /// * [`Engine::Sharded`] — the out-of-core sharded pipeline for
-///   10M–100M-tuple inputs: partitions by sensitive-value range, splits
-///   buckets concurrently per shard, streams group formation with O(λ)
-///   resident pages, and merges the QIT/ST with double-buffered writes.
+///   10M–100M-tuple inputs: counts buckets in one scan of the input,
+///   streams group formation with O(λ) resident pages, writes one group id
+///   per tuple, and joins the ids back onto the row-ordered input as the
+///   QIT before merging the ST.
 ///   Honors `seed` and `strategy` and publishes tables **bit-for-bit
 ///   identical** to `InMemory` at every scale.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]

@@ -75,13 +75,10 @@ fn audited_external_run(md: &Microdata) -> Result<AuditedRun, anatomy::Error> {
 }
 
 /// One audited sharded run with the same tiny pages. The out-of-core
-/// pipeline has seven phases touching pages (partition, split, schedule,
-/// assign, residue, two merges), and the op sweep covers every page
-/// operation of a clean run. The split runs on pool workers, which the
-/// thread-local `FaultScope` does not reach: only a shard the calling
-/// thread happens to split sees the schedule, until schedules are keyed
-/// on the I/O counter instead of the thread. A failed audit is an `Err`
-/// without a storage cause, which `classify` rejects.
+/// pipeline has six phases touching pages (count, schedule, assign,
+/// residue, the QIT join and the ST merge), all on the calling thread, and
+/// the op sweep covers every page operation of a clean run. A failed
+/// audit is an `Err` without a storage cause, which `classify` rejects.
 fn audited_sharded_run(md: &Microdata) -> Result<AuditedRun, anatomy::Error> {
     let shard = ShardConfig::new(PageConfig::with_page_size(64), 2, 6).unwrap();
     let release = Publish::new(md)
@@ -164,12 +161,12 @@ type Runner = fn(&Microdata) -> Result<AuditedRun, anatomy::Error>;
 
 /// A bound on the page operations a clean run of `run` makes on the
 /// calling thread, for either kind: both engines first stage the input,
-/// unbilled, as `(qi…, s, row id)` records at most, then make the reads
-/// and writes their I/O bill reports.
+/// unbilled, as `(qi…, s)` records, then make the reads and writes their
+/// I/O bill reports.
 fn op_bound(run: Runner, md: &Microdata) -> u64 {
     let io = run(md).expect("a clean run").io;
     let staged = PageConfig::with_page_size(64)
-        .pages_for(md.len(), 4 * (md.qi_count() + 2))
+        .pages_for(md.len(), 4 * (md.qi_count() + 1))
         .unwrap();
     staged as u64 + io.page_reads + io.page_writes
 }
@@ -250,25 +247,39 @@ fn unfired_faults_leave_the_run_untouched() {
     }
 }
 
-/// Seeded pseudo-random schedules: whatever splitmix64 lands on, the
-/// contract holds. Seeds are deterministic, so failures reproduce.
+/// Seeded pseudo-random schedules through both engines: whatever
+/// splitmix64 lands on, the contract holds. Seeds are deterministic, so
+/// failures reproduce.
 #[test]
 fn seeded_schedules_hold_the_contract() {
     let md = dataset(3);
-    let mut loud = 0;
-    for seed in 0..48u64 {
-        let cfg = FaultConfig::seeded(seed);
-        let ctx = format!("seeded({seed}) = {:?}", cfg.faults().collect::<Vec<_>>());
-        let scope = FaultScope::install(cfg);
-        let outcome = classify(audited_external_run(&md), &ctx);
-        drop(scope);
-        if outcome == Outcome::StorageFault {
-            loud += 1;
+    let engines: [(&str, Runner); 2] = [
+        ("external", audited_external_run),
+        ("sharded", audited_sharded_run),
+    ];
+    for (engine, run) in engines {
+        let mut loud = 0;
+        for seed in 0..48u64 {
+            let cfg = FaultConfig::seeded(seed);
+            let ctx = format!(
+                "{engine}: seeded({seed}) = {:?}",
+                cfg.faults().collect::<Vec<_>>()
+            );
+            let scope = FaultScope::install(cfg);
+            let outcome = classify(run(&md), &ctx);
+            drop(scope);
+            if outcome == Outcome::StorageFault {
+                loud += 1;
+            }
         }
+        // Most random schedules land inside the run's op range and must
+        // be loud; an all-harmless sweep would mean injection is
+        // disconnected.
+        assert!(
+            loud > 10,
+            "{engine}: only {loud}/48 seeded schedules surfaced"
+        );
     }
-    // Most random schedules land inside the run's op range and must be
-    // loud; an all-harmless sweep would mean injection is disconnected.
-    assert!(loud > 10, "only {loud}/48 seeded schedules surfaced");
 }
 
 /// The CLI-facing rendering of a mid-pipeline storage fault: one frame
