@@ -146,47 +146,45 @@ struct Class {
     members: VecDeque<u32>,
 }
 
-/// Value-order merge of two ascending runs, with `O(shorter)` fast paths
-/// when the runs do not interleave (the common case: a freshly split-off
-/// draw joins a class it chains onto).
-fn merge_class_members(left: &mut VecDeque<u32>, mut right: VecDeque<u32>) {
-    if right.is_empty() {
-        return;
-    }
-    if left.is_empty() {
-        *left = right;
-        return;
-    }
-    if left.back() < right.front() {
-        left.append(&mut right);
-        return;
-    }
-    if right.back() < left.front() {
+/// Value-order merge of two ascending runs into `left`, with `O(shorter)`
+/// fast paths when the runs do not interleave (the common case: a freshly
+/// split-off draw joins a class it chains onto). Buffers come from and go
+/// back to `spare`, so a merge allocates only while the spare buffers
+/// grow.
+fn merge_class_members(
+    left: &mut VecDeque<u32>,
+    mut right: VecDeque<u32>,
+    spare: &mut Vec<VecDeque<u32>>,
+) {
+    if left.is_empty() || (!right.is_empty() && right.back() < left.front()) {
         std::mem::swap(left, &mut right);
-        left.append(&mut right);
-        return;
     }
-    let mut merged = VecDeque::with_capacity(left.len() + right.len());
-    loop {
-        match (left.front(), right.front()) {
-            (Some(a), Some(b)) => {
-                if a < b {
-                    merged.push_back(left.pop_front().expect("front exists"));
-                } else {
-                    merged.push_back(right.pop_front().expect("front exists"));
+    if right.is_empty() || left.back() < right.front() {
+        left.append(&mut right);
+    } else {
+        let mut merged = spare.pop().unwrap_or_default();
+        loop {
+            match (left.front(), right.front()) {
+                (Some(a), Some(b)) => {
+                    if a < b {
+                        merged.push_back(left.pop_front().expect("front exists"));
+                    } else {
+                        merged.push_back(right.pop_front().expect("front exists"));
+                    }
+                }
+                (Some(_), None) => {
+                    merged.append(left);
+                    break;
+                }
+                (None, _) => {
+                    merged.append(&mut right);
+                    break;
                 }
             }
-            (Some(_), None) => {
-                merged.append(left);
-                break;
-            }
-            (None, _) => {
-                merged.append(&mut right);
-                break;
-            }
         }
+        spare.push(std::mem::replace(left, merged));
     }
-    *left = merged;
+    spare.push(right);
 }
 
 /// Outcome of a size-only schedule run ([`ladder_schedule`] /
@@ -234,10 +232,11 @@ pub fn ladder_schedule(sizes: &[usize], l: usize, mut emit: impl FnMut(&[u32])) 
     let mut nonempty = vals.len();
 
     let mut groups = 0u32;
-    // Sorted sensitive values of the most recent round, for reconstructing
-    // the residue-visit order afterwards.
-    let mut last_selected: Vec<u32> = Vec::new();
+    // The values drawn this round; after the loop, the final round's.
     let mut values: Vec<u32> = Vec::with_capacity(l);
+    // Emptied member buffers, reused by the splits and merges below so a
+    // round allocates nothing once they have grown.
+    let mut spare: Vec<VecDeque<u32>> = Vec::new();
 
     while nonempty >= l {
         // Selection: the ladder prefix covering l buckets. `full` classes
@@ -272,8 +271,6 @@ pub fn ladder_schedule(sizes: &[usize], l: usize, mut emit: impl FnMut(&[u32])) 
         }
         emit(&values);
         groups += 1;
-        values.sort_unstable();
-        last_selected.clone_from(&values);
 
         // Restructure. Fully drawn classes just step down one size; the
         // strict descending order among them is preserved.
@@ -285,22 +282,26 @@ pub fn ladder_schedule(sizes: &[usize], l: usize, mut emit: impl FnMut(&[u32])) 
         let mut split: Option<Class> = None;
         if m > 0 {
             let boundary = &mut ladder[full];
-            let drawn: VecDeque<u32> = boundary.members.drain(..m).collect();
             if boundary.size > 1 {
+                let mut drawn = spare.pop().unwrap_or_default();
+                drawn.extend(boundary.members.drain(..m));
                 split = Some(Class {
                     size: boundary.size - 1,
                     members: drawn,
                 });
             } else {
                 // Drawn buckets are now empty and leave the ladder.
+                boundary.members.drain(..m);
                 nonempty -= m;
             }
         } else if full > 0 && ladder[full - 1].size == 0 {
             // A fully drawn size-1 class emptied out. Sizes descend
             // strictly, so it can only be the ladder tail.
             debug_assert_eq!(full, ladder.len());
-            let dead = ladder.pop_back().expect("class exists");
+            let mut dead = ladder.pop_back().expect("class exists");
             nonempty -= dead.members.len();
+            dead.members.clear();
+            spare.push(dead.members);
             full -= 1;
         }
         // At most two equal-size adjacencies can appear; everything else
@@ -311,16 +312,15 @@ pub fn ladder_schedule(sizes: &[usize], l: usize, mut emit: impl FnMut(&[u32])) 
         let mut insert_at = full + 1;
         if full > 0 && full < ladder.len() && ladder[full - 1].size == ladder[full].size {
             let right = ladder.remove(full).expect("index in bounds");
-            merge_class_members(&mut ladder[full - 1].members, right.members);
+            merge_class_members(&mut ladder[full - 1].members, right.members, &mut spare);
             insert_at = full;
         }
         // Second: the split-off class against its successor.
         if let Some(split) = split {
             if insert_at < ladder.len() && ladder[insert_at].size == split.size {
                 let successor = &mut ladder[insert_at];
-                let tail = std::mem::take(&mut successor.members);
-                successor.members = split.members;
-                merge_class_members(&mut successor.members, tail);
+                let tail = std::mem::replace(&mut successor.members, split.members);
+                merge_class_members(&mut successor.members, tail, &mut spare);
             } else {
                 ladder.insert(insert_at, split);
             }
@@ -334,13 +334,13 @@ pub fn ladder_schedule(sizes: &[usize], l: usize, mut emit: impl FnMut(&[u32])) 
     // the final round drew from it. (Eligibility guarantees at least one
     // round whenever n > 0, so the list is never left in its initial
     // value-ascending build order.)
+    values.sort_unstable();
     let mut residual: Vec<(usize, u32)> = ladder
         .iter()
         .flat_map(|c| c.members.iter().map(move |&v| (c.size, v)))
         .collect();
-    let pre_size = |(size, v): (usize, u32)| -> usize {
-        size + usize::from(last_selected.binary_search(&v).is_ok())
-    };
+    let pre_size =
+        |(size, v): (usize, u32)| -> usize { size + usize::from(values.binary_search(&v).is_ok()) };
     residual.sort_unstable_by(|&a, &b| pre_size(b).cmp(&pre_size(a)).then(a.1.cmp(&b.1)));
 
     ScheduleOutcome {

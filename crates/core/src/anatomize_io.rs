@@ -69,6 +69,11 @@ impl ExternalAnatomizeOutput {
 /// (`(group_id, value, count)` records) files into validated
 /// [`AnatomizedTables`](crate::published::AnatomizedTables). Shared by the
 /// external and sharded engines.
+///
+/// Each QIT page goes straight into the QI columns, checked with one
+/// maximum per column, and the group ids; each ST page into records. An
+/// out-of-domain QI code is the error a row-at-a-time build gives for
+/// the first row holding one.
 pub fn tables_from_files(
     qit: &SimFile,
     st_file: &SimFile,
@@ -83,19 +88,19 @@ pub fn tables_from_files(
     let mut builder = anatomy_tables::TableBuilder::with_capacity(qi_schema, rows);
     let mut group_ids = Vec::with_capacity(rows);
     let mut reader = SeqReader::open(qit, U32RowCodec::new(d + 1), &pool, scratch.clone())?;
-    while let Some(rec) = reader.next_row()? {
-        builder.push_row(&rec[..d])?;
-        group_ids.push(rec[d]);
+    while let Some(page) = reader.next_page()? {
+        builder.push_rows(page, d + 1)?;
+        group_ids.extend(page[d..].iter().step_by(d + 1));
     }
 
     let mut st = Vec::with_capacity(st_file.record_count());
     let mut reader = SeqReader::open(st_file, U32RowCodec::new(3), &pool, scratch)?;
-    while let Some(rec) = reader.next_row()? {
-        st.push(crate::published::StRecord {
+    while let Some(page) = reader.next_page()? {
+        st.extend(page.chunks_exact(3).map(|rec| crate::published::StRecord {
             group: rec[0],
             value: anatomy_tables::Value(rec[1]),
             count: rec[2],
-        });
+        }));
     }
     crate::published::AnatomizedTables::from_parts(builder.finish(), group_ids, st, l)
 }
@@ -103,6 +108,8 @@ pub fn tables_from_files(
 /// Serialize `md` into a [`SimFile`] of `(d+1)`-field records without
 /// charging the experiment's I/O counter (the microdata is assumed to
 /// already reside on disk; reading it *is* charged, by the algorithm).
+///
+/// The columns are transposed into rows a page at a time.
 pub fn microdata_to_file(md: &Microdata, cfg: PageConfig) -> Result<SimFile, CoreError> {
     let d = md.qi_count();
     let codec = U32RowCodec::new(d + 1);
@@ -110,13 +117,21 @@ pub fn microdata_to_file(md: &Microdata, cfg: PageConfig) -> Result<SimFile, Cor
     let scratch_pool = BufferPool::unbounded();
     let mut file = SimFile::new();
     let mut w = SeqWriter::open(&mut file, codec, cfg, &scratch_pool, scratch_counter)?;
-    let mut row = vec![0u32; d + 1];
-    for r in 0..md.len() {
-        for (i, slot) in row.iter_mut().enumerate().take(d) {
-            *slot = md.qi_value(r, i).code();
+    let columns: Vec<&[u32]> = (0..d)
+        .map(|i| md.qi_codes(i))
+        .chain([md.sensitive_codes()])
+        .collect();
+    let per_page = cfg.records_per_page(codec.record_len())?;
+    let mut page = vec![0u32; per_page * (d + 1)];
+    for start in (0..md.len()).step_by(per_page) {
+        let rows = per_page.min(md.len() - start);
+        let page = &mut page[..rows * (d + 1)];
+        for (c, column) in columns.iter().enumerate() {
+            for (row, &code) in page.chunks_exact_mut(d + 1).zip(&column[start..]) {
+                row[c] = code;
+            }
         }
-        row[d] = md.sensitive_value(r).code();
-        w.push(&row)?;
+        w.push_rows(page)?;
     }
     w.finish()?;
     Ok(file)

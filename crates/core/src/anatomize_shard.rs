@@ -47,7 +47,10 @@
 //! benchmarks gate against). Resident state is O(λ) buffer pages plus a
 //! transient O(max bucket) permutation and gid array during
 //! `bucket_assign` — the unavoidable cost of replaying the shuffle. Every
-//! page operation runs on the calling thread.
+//! page operation runs on the calling thread. Each pass takes and gives
+//! its rows a page at a time ([`SeqReader::next_page`],
+//! [`SeqWriter::push_rows`]); only the merges' per-value gid and schedule
+//! readers, which interleave, go a record at a time.
 
 use crate::anatomize::{ladder_schedule, round_robin_schedule, AnatomizeConfig, BucketStrategy};
 use crate::anatomize_io::{microdata_to_file, tables_from_files};
@@ -308,8 +311,10 @@ pub fn anatomize_sharded(
         let _phase = obs.span("bucket_count");
         let mut counts = vec![0usize; lambda];
         let mut reader = SeqReader::open(&input, row_codec, &pool, counter.clone())?;
-        while let Some(row) = reader.next_row()? {
-            counts[row[d] as usize] += 1;
+        while let Some(page) = reader.next_page()? {
+            for &s in page[d..].iter().step_by(d + 1) {
+                counts[s as usize] += 1;
+            }
         }
         counts
     };
@@ -379,17 +384,17 @@ pub fn anatomize_sharded(
             gid_of_pos.clear();
             gid_of_pos.resize(s_v, RESIDUE);
             let mut reader = SeqReader::open(&sched_files[v], gid_codec, &pool, counter.clone())?;
-            let mut k = 0usize;
-            while let Some(rec) = reader.next_row()? {
-                gid_of_pos[perm[s_v - 1 - k] as usize] = rec[0];
-                k += 1;
+            // Draw k pops perm[s_v − 1 − k]: walk perm down from its end.
+            let mut pops = perm[left..].iter().rev();
+            while let Some(page) = reader.next_page()? {
+                for (&gid, &pos) in page.iter().zip(pops.by_ref()) {
+                    gid_of_pos[pos as usize] = gid;
+                }
             }
             drop(reader);
             residue_positions[v] = perm[..left].iter().rev().copied().collect();
             let mut w = SeqWriter::open(&mut gid_files[v], gid_codec, cfg, &pool, counter.clone())?;
-            for &gid in &gid_of_pos {
-                w.push(&[gid])?;
-            }
+            w.push_rows(&gid_of_pos)?;
             w.finish()?;
         }
     }
@@ -411,8 +416,8 @@ pub fn anatomize_sharded(
                 let file = &sched_files[v as usize];
                 let mut reader = SeqReader::open(file, gid_codec, &pool, counter.clone())?;
                 let mut sched = Vec::with_capacity(file.record_count());
-                while let Some(rec) = reader.next_row()? {
-                    sched.push(rec[0]);
+                while let Some(page) = reader.next_page()? {
+                    sched.extend_from_slice(page);
                 }
                 sched
             };
@@ -479,7 +484,10 @@ pub fn anatomize_sharded(
 /// `m` or more and a residue entry with no residue are an
 /// [`CoreError::InvalidPartition`] naming the value.
 ///
-/// Leases a page per gid file, the input's page and the output page.
+/// Each input page's QIT rows are built in one page-sized buffer and
+/// written with one call, so a QIT page is flushed after the gid reads of
+/// the next input page's rows. Leases a page per gid file, the input's
+/// page and the output page.
 #[allow(clippy::too_many_arguments)]
 fn qit_merge(
     input: &SimFile,
@@ -501,37 +509,43 @@ fn qit_merge(
     let mut w = SeqWriter::open(&mut qit, row_codec, cfg, pool, counter.clone())?;
     // Each value's next bucket position.
     let mut next = vec![0u32; gid_files.len()];
-    let mut out = vec![0u32; d + 1];
-    while let Some(row) = rows.next_row()? {
-        let v = row[d] as usize;
-        let pos = &mut next[v];
-        let Some(&[entry]) = gids[v].next_row()? else {
-            return Err(CoreError::InvalidPartition(format!(
-                "QIT merge: the gid file of value {v} ends after {pos} of its rows"
-            )));
-        };
-        let gid = if entry == RESIDUE {
-            let key = (v as u32, *pos);
-            let i = residues
-                .binary_search_by_key(&key, |&(value, p, _)| (value, p))
-                .map_err(|_| {
-                    CoreError::InvalidPartition(format!(
-                        "QIT merge: position {pos} of value {v} is marked residue but has none"
-                    ))
-                })?;
-            residues[i].2
-        } else {
-            entry
-        };
-        if gid as usize >= m {
-            return Err(CoreError::InvalidPartition(format!(
-                "QIT merge: value {v} names group {gid}, outside 0..{m}"
-            )));
+    // One input page's QIT rows: the page with each row's value replaced
+    // by its group id. QIT rows are as wide as input rows, so this is one
+    // output page.
+    let mut out = Vec::with_capacity(cfg.records_per_page(row_codec.record_len())? * (d + 1));
+    while let Some(page) = rows.next_page()? {
+        out.clear();
+        out.extend_from_slice(page);
+        for row in out.chunks_exact_mut(d + 1) {
+            let v = row[d] as usize;
+            let pos = &mut next[v];
+            let Some(&[entry]) = gids[v].next_row()? else {
+                return Err(CoreError::InvalidPartition(format!(
+                    "QIT merge: the gid file of value {v} ends after {pos} of its rows"
+                )));
+            };
+            let gid = if entry == RESIDUE {
+                let key = (v as u32, *pos);
+                let i = residues
+                    .binary_search_by_key(&key, |&(value, p, _)| (value, p))
+                    .map_err(|_| {
+                        CoreError::InvalidPartition(format!(
+                            "QIT merge: position {pos} of value {v} is marked residue but has none"
+                        ))
+                    })?;
+                residues[i].2
+            } else {
+                entry
+            };
+            if gid as usize >= m {
+                return Err(CoreError::InvalidPartition(format!(
+                    "QIT merge: value {v} names group {gid}, outside 0..{m}"
+                )));
+            }
+            *pos += 1;
+            row[d] = gid;
         }
-        *pos += 1;
-        out[..d].copy_from_slice(&row[..d]);
-        out[d] = gid;
-        w.push(&out)?;
+        w.push_rows(&out)?;
     }
     for (v, reader) in gids.iter_mut().enumerate() {
         if reader.next_row()?.is_some() {
@@ -558,7 +572,8 @@ fn qit_merge(
 /// fewer than `l` scheduled values, are an
 /// [`CoreError::InvalidPartition`] naming the group.
 ///
-/// Leases a page per schedule, the output page and the window's page.
+/// Each window's records are written with one call. Leases a page per
+/// schedule, the output page and the window's page.
 fn st_merge(
     schedules: &[SimFile],
     residues: &[(u32, u32)],
@@ -581,6 +596,8 @@ fn st_merge(
     // first filled[j] of them placed so far.
     let mut values = vec![0u32; groups_per_window * l];
     let mut filled = vec![0usize; groups_per_window];
+    // The window's ST records, back to back.
+    let mut window: Vec<u32> = Vec::with_capacity(3 * (values.len() + l));
     // Each schedule's next group id; None once it is exhausted.
     let mut heads: Vec<Option<u32>> = readers
         .iter_mut()
@@ -612,6 +629,7 @@ fn st_merge(
                 *head = reader.next_row()?.map(|rec| rec[0]);
             }
         }
+        window.clear();
         for (j, scheduled) in values.chunks_exact(l).take(hi - lo).enumerate() {
             let gid = (lo + j) as u32;
             let placed = std::mem::take(&mut filled[j]);
@@ -623,14 +641,15 @@ fn st_merge(
             let mut scheduled = scheduled.iter().copied().peekable();
             while let Some(&(_, value)) = pending.next_if(|&&(g, _)| g == gid) {
                 while let Some(v) = scheduled.next_if(|&v| v < value) {
-                    w.push(&[gid, v, 1])?;
+                    window.extend_from_slice(&[gid, v, 1]);
                 }
-                w.push(&[gid, value, 1])?;
+                window.extend_from_slice(&[gid, value, 1]);
             }
             for v in scheduled {
-                w.push(&[gid, v, 1])?;
+                window.extend_from_slice(&[gid, v, 1]);
             }
         }
+        w.push_rows(&window)?;
     }
     // Anything left over names a group past the last window.
     let left = heads.iter().flatten().next().copied();

@@ -24,8 +24,9 @@
 //!   the `O(n/b)` of Theorem 3 and the "anatomy" series of Figures 8–9;
 //! * [`anatomize_shard`] — the sharded out-of-core pipeline behind
 //!   `Engine::Sharded`, targeting 10M–100M tuples: only bucket counts and
-//!   one group id per tuple go through its paged passes, with O(λ)
-//!   resident state;
+//!   one group id per tuple go through its paged passes; group formation
+//!   holds O(λ) pages, and the shuffle replay two arrays as long as the
+//!   largest bucket outside the page budget;
 //! * [`published`] — the QIT/ST pair (Definition 3);
 //! * [`adversary`] — the QIT⋈ST reconstruction (Lemma 1) and breach
 //!   probabilities (Corollary 1, Theorem 1);

@@ -225,19 +225,16 @@ impl AnatomizedTables {
         // rows remain for the n ids below it), and the first such gap is
         // the one reported.
         let n = group_ids.len();
-        let mut group_sizes = vec![0u32; n];
-        let mut m = 0;
+        let m = group_ids
+            .iter()
+            .fold(0, |m, &g| m.max(g as usize + 1))
+            .min(n);
+        let mut group_sizes = vec![0u32; m];
         for &g in &group_ids {
-            match group_sizes.get_mut(g as usize) {
-                Some(size) => {
-                    *size += 1;
-                    m = m.max(g as usize + 1);
-                }
-                None => m = n,
+            if let Some(size) = group_sizes.get_mut(g as usize) {
+                *size += 1;
             }
         }
-        group_sizes.truncate(m);
-        group_sizes.shrink_to_fit();
         if let Some(j) = group_sizes.iter().position(|&s| s == 0) {
             return Err(CoreError::InvalidPartition(format!(
                 "group ids are not dense: group {j} has no tuples"
@@ -728,6 +725,40 @@ mod tests {
         let st = t.format_st(|v| disease.label(v));
         assert!(st.contains("dyspepsia\t2"));
         assert!(st.contains("bronchitis\t1"));
+    }
+
+    #[test]
+    fn from_parts_sizes_the_group_table_from_the_ids() {
+        let schema = paper_md().table().schema().project(&[0]).unwrap();
+        let qit = |n: u32| {
+            let mut b = anatomy_tables::TableBuilder::new(schema.clone());
+            for i in 0..n {
+                b.push_row(&[20 + i]).unwrap();
+            }
+            b.finish()
+        };
+        let st = |groups: &[u32]| -> Vec<StRecord> {
+            groups
+                .iter()
+                .flat_map(|&g| {
+                    (0..2).map(move |v| StRecord {
+                        group: g,
+                        value: Value(v),
+                        count: 1,
+                    })
+                })
+                .collect()
+        };
+        let empty = AnatomizedTables::from_parts(qit(0), vec![], vec![], 2).unwrap();
+        assert_eq!((empty.len(), empty.group_count()), (0, 0));
+        let two = AnatomizedTables::from_parts(qit(4), vec![0, 1, 1, 0], st(&[0, 1]), 2).unwrap();
+        assert_eq!(two.group_count(), 2);
+        // The first gap below the largest id, and below n when an id
+        // reaches past the rows.
+        for ids in [vec![0, 0, 3, 3], vec![0, 0, 9, 9]] {
+            let err = AnatomizedTables::from_parts(qit(4), ids, st(&[0, 1]), 2).unwrap_err();
+            assert!(err.to_string().contains("group 1 has no tuples"), "{err}");
+        }
     }
 
     #[test]

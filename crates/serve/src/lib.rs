@@ -68,9 +68,10 @@
 //! (admission control across all connections). A batch arriving beyond
 //! that is **not queued**: its body is drained and the client gets an
 //! explicit `BUSY` line, so back-pressure is visible instead of latent.
-//! Oversized batches (`count > max_batch`) and malformed headers are
-//! protocol errors: the server answers `ERR` and closes the connection,
-//! because the stream can no longer be trusted to be in sync.
+//! Oversized batches (`count > max_batch`, or a body past
+//! [`protocol::MAX_BATCH_BYTES`]) and malformed headers are protocol
+//! errors: the server answers `ERR` and closes the connection, because
+//! the stream can no longer be trusted to be in sync.
 //!
 //! ## Quick start
 //!

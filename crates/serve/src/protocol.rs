@@ -13,6 +13,12 @@ use std::time::Duration;
 /// a protocol violation (or a hostile peer), not a big query.
 pub const MAX_LINE: usize = 1 << 20;
 
+/// Most bytes of query lines (newlines included) one `BATCH` body may
+/// carry: 1 KiB per line at the default `max_batch` of 65 536. The server
+/// buffers a body whole before answering, so without a cap one peer
+/// could make it hold `max_batch` lines of up to `MAX_LINE` each.
+pub const MAX_BATCH_BYTES: usize = 64 << 20;
+
 /// Evaluation mode of a `BATCH` request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Mode {

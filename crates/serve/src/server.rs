@@ -1,7 +1,7 @@
 //! The accept loop, per-connection protocol handling, admission
 //! control, and the monitoring endpoints (metrics, slowlog).
 
-use crate::protocol::{connect_stream, LineEvent, LineReader, Mode, Stream};
+use crate::protocol::{connect_stream, LineEvent, LineReader, Mode, Stream, MAX_BATCH_BYTES};
 use crate::release::ServedRelease;
 use crate::slowlog::{SlowEntry, SlowLog};
 use anatomy_obs::{render_exposition, WindowConfig, Windows};
@@ -485,7 +485,7 @@ fn handle_connection(conn: Box<dyn Stream>, shared: &Arc<Shared>, addr: &str) ->
 
 /// Handle one `BATCH name mode count` request. Returns `false` when the
 /// connection can no longer be trusted to be in sync (malformed header,
-/// oversized batch) and must be closed after the `ERR` goes out.
+/// oversized batch or body) and must be closed after the `ERR` goes out.
 fn handle_batch(
     req: &str,
     mut parts: std::str::SplitAsciiWhitespace<'_>,
@@ -521,12 +521,18 @@ fn handle_batch(
     }
 
     // The body is committed by the header: consume all `count` lines
-    // before any verdict, so the stream stays in sync even on errors.
+    // before any verdict, so the stream stays in sync even on errors. A
+    // body past `MAX_BATCH_BYTES` is refused before it is buffered.
     let mut body = String::new();
     for _ in 0..count {
         loop {
             match rd.next_line()? {
                 LineEvent::Line(l) => {
+                    if body.len() + l.len() + 1 > MAX_BATCH_BYTES {
+                        err(shared);
+                        writeln!(wr, "ERR batch body exceeds {MAX_BATCH_BYTES} bytes")?;
+                        return Ok(false);
+                    }
                     body.push_str(&l);
                     body.push('\n');
                     break;

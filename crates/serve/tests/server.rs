@@ -3,9 +3,10 @@
 
 use anatomy_core::{anatomize, AnatomizeConfig, AnatomizedTables};
 use anatomy_query::{estimate_anatomy, evaluate_exact, workload_to_text, CountQuery, WorkloadSpec};
+use anatomy_serve::protocol::{MAX_BATCH_BYTES, MAX_LINE};
 use anatomy_serve::{replay, Mode, ServeClient, ServeConfig, ServeError, ServedRelease, Server};
 use anatomy_tables::{Attribute, Microdata, Schema, TableBuilder};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 
 fn dataset(n: u32) -> Microdata {
     let schema = Schema::new(vec![
@@ -288,6 +289,48 @@ fn malformed_and_oversized_batches_error_and_close() {
     client.shutdown().unwrap();
     let summary = handle.join().unwrap().unwrap();
     assert!(summary.errors >= 5, "summary: {summary:?}");
+}
+
+#[test]
+fn an_oversized_batch_body_is_refused_and_closed() {
+    let (_, _, server) = exact_server(400, ServeConfig::default());
+    let (addr, handle) = server.spawn();
+
+    // 65 lines just under `MAX_LINE` carry more than `MAX_BATCH_BYTES`,
+    // within the default `max_batch`.
+    let line = format!("{}\n", "s".repeat(MAX_LINE - 2));
+    let lines = MAX_BATCH_BYTES / line.len() + 1;
+    let mut s = std::net::TcpStream::connect(&addr).unwrap();
+    s.write_all(format!("BATCH demo exact {lines}\n").as_bytes())
+        .unwrap();
+    // The server refuses at the last line and closes with bytes unread,
+    // so a write may fail and the `ERR` line may be lost to a reset; a
+    // server that kept the connection open would time this read out.
+    for _ in 0..lines {
+        if s.write_all(line.as_bytes()).is_err() {
+            break;
+        }
+    }
+    s.set_read_timeout(Some(std::time::Duration::from_secs(10)))
+        .unwrap();
+    let mut reply = Vec::new();
+    if let Err(e) = s.read_to_end(&mut reply) {
+        let open = matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut);
+        assert!(!open, "the connection stayed open: {e}");
+    }
+    let reply = String::from_utf8_lossy(&reply);
+    assert!(
+        reply.is_empty() || reply.starts_with("ERR batch body exceeds"),
+        "{reply}"
+    );
+
+    // Other connections are unharmed, and the refusal was counted.
+    let mut client = ServeClient::connect(&addr).unwrap();
+    client.ping().unwrap();
+    client.shutdown().unwrap();
+    let summary = handle.join().unwrap().unwrap();
+    assert_eq!(summary.errors, 1, "summary: {summary:?}");
+    assert_eq!(summary.batches, 0, "summary: {summary:?}");
 }
 
 #[test]

@@ -93,15 +93,18 @@ impl SimFile {
 /// Sequential writer that packs fixed-size records into pages.
 ///
 /// Holds one buffer page leased from the pool for the duration of the
-/// write. The page being filled is kept as `u32` words, one slice copy
-/// per record, and encoded to little-endian bytes once, when it is
-/// flushed. Each flushed page gets a [`PageHeader`] computed over the
-/// payload the writer intends to store, so later readers can prove the
-/// bytes survived intact. [`SeqWriter::push`] and [`SeqWriter::finish`]
-/// are fallible — the simulated device can reject a write
-/// ([`StorageError::DiskFull`] under fault injection) — and dropping an
-/// unfinished writer flushes best-effort, ignoring errors; pipelines
-/// that care call `finish()` explicitly.
+/// write. The page being filled is kept as `u32` words and encoded to
+/// little-endian bytes once, when it is flushed. [`SeqWriter::push_rows`]
+/// appends whole rows back to back, a page's worth per slice copy;
+/// [`SeqWriter::push`] is its one-row view. Either way a full page is
+/// flushed only when the next row arrives, so the stored pages and the
+/// write bill do not depend on how the rows were split into calls. Each
+/// flushed page gets a [`PageHeader`] computed over the payload the
+/// writer intends to store, so later readers can prove the bytes survived
+/// intact. Pushes and [`SeqWriter::finish`] are fallible — the simulated
+/// device can reject a write ([`StorageError::DiskFull`] under fault
+/// injection) — and dropping an unfinished writer flushes best-effort,
+/// ignoring errors; pipelines that care call `finish()` explicitly.
 pub struct SeqWriter<'a> {
     arity: usize,
     counter: IoCounter,
@@ -124,31 +127,8 @@ impl<'a> SeqWriter<'a> {
         pool: &BufferPool,
         counter: IoCounter,
     ) -> Result<Self, StorageError> {
-        Self::open_buffered(file, codec, cfg, pool, counter, 1)
-    }
-
-    /// Open a writer holding `buffers` leased pages instead of one.
-    ///
-    /// The extra pages model double-buffered output: with two buffers the
-    /// device can drain page `k` while the writer fills `k + 1`, and the
-    /// budget accounting charges what the overlap actually costs. Record
-    /// layout, page contents and the I/O bill are identical to
-    /// [`SeqWriter::open`] — only the lease size differs.
-    pub fn open_buffered(
-        file: &'a mut SimFile,
-        codec: U32RowCodec,
-        cfg: PageConfig,
-        pool: &BufferPool,
-        counter: IoCounter,
-        buffers: usize,
-    ) -> Result<Self, StorageError> {
-        if buffers == 0 {
-            return Err(StorageError::InvalidArgument(
-                "writer needs at least one buffer page".into(),
-            ));
-        }
         let page_words = cfg.records_per_page(codec.record_len())? * codec.arity();
-        let lease = pool.try_lease(buffers)?;
+        let lease = pool.try_lease(1)?;
         Ok(SeqWriter {
             arity: codec.arity(),
             counter,
@@ -160,9 +140,11 @@ impl<'a> SeqWriter<'a> {
         })
     }
 
-    /// Append one record, flushing the buffered page first if it is full.
+    /// Append one record, flushing the buffered page first if it is full:
+    /// [`SeqWriter::push_rows`] of a single record.
     ///
     /// Panics when `record` does not have the writer's arity.
+    #[inline]
     pub fn push(&mut self, record: &[u32]) -> Result<(), StorageError> {
         // A row of another width would shift every field after it.
         assert_eq!(
@@ -177,6 +159,35 @@ impl<'a> SeqWriter<'a> {
         }
         self.words.extend_from_slice(record);
         self.file.record_count += 1;
+        Ok(())
+    }
+
+    /// Append whole records stored back to back, a page-sized slice copy
+    /// at a time, flushing each full page as the next record needs room:
+    /// the pages, headers and write bill are those of pushing the records
+    /// one at a time. On an error the records before the rejected page's
+    /// stay counted, as they would one at a time.
+    ///
+    /// Panics when `rows` does not hold a whole number of records.
+    pub fn push_rows(&mut self, mut rows: &[u32]) -> Result<(), StorageError> {
+        assert_eq!(
+            rows.len() % self.arity,
+            0,
+            "partial row: codec expects rows of {} fields, got {} fields",
+            self.arity,
+            rows.len()
+        );
+        while !rows.is_empty() {
+            if self.words.len() == self.page_words {
+                self.flush_page()?;
+            }
+            // Both bounds are whole records: a page holds whole records.
+            let take = (self.page_words - self.words.len()).min(rows.len());
+            let (head, rest) = rows.split_at(take);
+            self.words.extend_from_slice(head);
+            self.file.record_count += take / self.arity;
+            rows = rest;
+        }
         Ok(())
     }
 
@@ -231,14 +242,14 @@ impl Drop for SeqWriter<'_> {
 /// payload is copied into the reader's scratch bytes and its header is
 /// verified (magic, format version, length, checksum), so damaged pages
 /// surface as one typed [`StorageError`] instead of garbage records; a
-/// verified page is decoded once into words. [`SeqReader::next_row`]
-/// yields each record as a slice of those words, and
-/// [`SeqReader::next_into`] and the `Iterator` copy that slice into a
-/// caller's row or a fresh one. The reader yields exactly
+/// verified page is decoded once into words. [`SeqReader::next_page`]
+/// yields the current page's unread records as one slice of those words;
+/// [`SeqReader::next_row`] is its one-record view, and the `Iterator`
+/// copies each record into a fresh row. The reader yields exactly
 /// [`SimFile::record_count`] records or an error: a file whose pages end
 /// early produces [`StorageError::Truncated`]. After the first error the
-/// reader is fused: `next_row` returns `Ok(None)`, `next_into`
-/// `Ok(false)` and the iterator `None`.
+/// reader is fused: `next_page` and `next_row` return `Ok(None)` and the
+/// iterator `None`.
 pub struct SeqReader<'a> {
     arity: usize,
     counter: IoCounter,
@@ -248,12 +259,9 @@ pub struct SeqReader<'a> {
     /// The current page, decoded, and the word where its next row starts.
     words: Vec<u32>,
     offset: usize,
-    yielded: usize,
+    /// Records in the pages fetched so far.
+    fetched: usize,
     failed: bool,
-    prefetch: usize,
-    queue: std::collections::VecDeque<(usize, Result<Vec<u32>, StorageError>)>,
-    /// Decoded pages already consumed, refilled by the next fetch.
-    spare: Vec<Vec<u32>>,
     /// One page's bytes as read back, before verification.
     bytes: Vec<u8>,
     read_ns: anatomy_obs::Histogram,
@@ -268,32 +276,7 @@ impl<'a> SeqReader<'a> {
         pool: &BufferPool,
         counter: IoCounter,
     ) -> Result<Self, StorageError> {
-        Self::open_with_prefetch(file, codec, pool, counter, 1)
-    }
-
-    /// Open a reader that prefetches up to `depth` pages per device trip,
-    /// leasing `depth` buffer pages from `pool`.
-    ///
-    /// A sequential scan touches pages strictly in order, so fetching the
-    /// next `depth` pages in one batch models the overlapped read-ahead a
-    /// real device would do. Records, error ordering and the page-read
-    /// bill are identical to [`SeqReader::open`]; prefetched pages are
-    /// charged when the batch is fetched rather than one at a time, and
-    /// each page's header is still verified before any of its records are
-    /// yielded. `depth == 1` is exactly the unbatched reader.
-    pub fn open_with_prefetch(
-        file: &'a SimFile,
-        codec: U32RowCodec,
-        pool: &BufferPool,
-        counter: IoCounter,
-        depth: usize,
-    ) -> Result<Self, StorageError> {
-        if depth == 0 {
-            return Err(StorageError::InvalidArgument(
-                "reader needs a prefetch depth of at least one page".into(),
-            ));
-        }
-        let lease = pool.try_lease(depth)?;
+        let lease = pool.try_lease(1)?;
         Ok(SeqReader {
             arity: codec.arity(),
             counter,
@@ -301,11 +284,8 @@ impl<'a> SeqReader<'a> {
             page_idx: 0,
             words: Vec::new(),
             offset: 0,
-            yielded: 0,
+            fetched: 0,
             failed: false,
-            prefetch: depth,
-            queue: std::collections::VecDeque::new(),
-            spare: Vec::new(),
             bytes: Vec::new(),
             read_ns: anatomy_obs::global().histogram("storage.page_read_ns"),
             _lease: lease,
@@ -317,102 +297,89 @@ impl<'a> SeqReader<'a> {
         e
     }
 
-    /// Fetch one batch of up to `prefetch` pages starting at `from`:
-    /// charge the reads, copy each payload (read faults apply to the
-    /// copy, never the stored bytes), verify its header and decode it.
-    /// Results are queued in page order so consumption surfaces errors
-    /// exactly where an unbatched reader would.
-    fn fetch_batch(&mut self, from: usize) {
-        let until = (from + self.prefetch).min(self.file.pages.len());
-        for idx in from..until {
-            let page = &self.file.pages[idx];
-            self.counter.add_reads(1);
-            let t0 = anatomy_obs::global()
-                .enabled()
-                .then(std::time::Instant::now);
-            self.bytes.clear();
-            self.bytes.extend_from_slice(&page.payload);
-            fault::on_read(&mut self.bytes, idx);
-            let loaded = page
-                .header
-                .verify(&self.bytes, self.arity * 4, idx)
-                .map(|()| {
-                    let mut words = self.spare.pop().unwrap_or_default();
-                    decode_page(&self.bytes, &mut words);
-                    words
-                });
-            if let Some(t0) = t0 {
-                self.read_ns
-                    .record(t0.elapsed().as_nanos().min(u64::MAX as u128) as u64);
-            }
-            self.queue.push_back((idx, loaded));
-        }
-    }
-
-    /// Make the next page current. `Ok(false)` at the end of the pages,
-    /// when the file's metadata confirms every record was yielded.
-    fn advance_page(&mut self) -> Result<bool, StorageError> {
-        if self.queue.is_empty() {
-            self.fetch_batch(self.page_idx);
-        }
-        let Some((idx, loaded)) = self.queue.pop_front() else {
+    /// Make the next page current: charge the read, copy the payload
+    /// (read faults apply to the copy, never the stored bytes), verify
+    /// its header and decode it. `Ok(false)` at the end of the pages,
+    /// when the file's metadata confirms every record was fetched.
+    fn fetch_page(&mut self) -> Result<bool, StorageError> {
+        let idx = self.page_idx;
+        let Some(page) = self.file.pages.get(idx) else {
             // End of pages: the file's own metadata says how many
             // records there should have been.
-            if self.yielded < self.file.record_count {
-                let (expected, found, page) = (self.file.record_count, self.yielded, self.page_idx);
+            if self.fetched < self.file.record_count {
+                let (expected, found) = (self.file.record_count, self.fetched);
                 return Err(self.fail(StorageError::Truncated {
-                    page,
+                    page: idx,
                     expected,
                     found,
                 }));
             }
             return Ok(false);
         };
-        debug_assert_eq!(idx, self.page_idx);
-        match loaded {
-            Ok(words) => {
-                let done = std::mem::replace(&mut self.words, words);
-                self.spare.push(done);
-                self.offset = 0;
-                self.page_idx += 1;
-                Ok(true)
-            }
-            Err(e) => Err(self.fail(e)),
+        self.counter.add_reads(1);
+        let t0 = anatomy_obs::global()
+            .enabled()
+            .then(std::time::Instant::now);
+        self.bytes.clear();
+        self.bytes.extend_from_slice(&page.payload);
+        fault::on_read(&mut self.bytes, idx);
+        let verified = page.header.verify(&self.bytes, self.arity * 4, idx);
+        if verified.is_ok() {
+            decode_page(&self.bytes, &mut self.words);
         }
+        if let Some(t0) = t0 {
+            self.read_ns
+                .record(t0.elapsed().as_nanos().min(u64::MAX as u128) as u64);
+        }
+        verified.map_err(|e| self.fail(e))?;
+        self.offset = 0;
+        self.page_idx += 1;
+        self.fetched += self.words.len() / self.arity;
+        Ok(true)
+    }
+
+    /// Whether unread records remain, fetching pages until one has some.
+    /// `Ok(false)` at the end of the file and after the first error.
+    #[inline]
+    fn fill(&mut self) -> Result<bool, StorageError> {
+        if self.failed {
+            return Ok(false);
+        }
+        while self.offset == self.words.len() {
+            if !self.fetch_page()? {
+                return Ok(false);
+            }
+        }
+        Ok(true)
+    }
+
+    /// The current page's unread records, back to back, as one slice of
+    /// the decoded page; the next call moves on to the next page. Returns
+    /// `Ok(None)` at the end of the file and after the first error.
+    ///
+    /// The records, first error, page-read bill and fusing are those of
+    /// reading the same records one at a time with
+    /// [`SeqReader::next_row`]; the two may be mixed.
+    #[inline]
+    pub fn next_page(&mut self) -> Result<Option<&[u32]>, StorageError> {
+        if !self.fill()? {
+            return Ok(None);
+        }
+        let start = self.offset;
+        self.offset = self.words.len();
+        Ok(Some(&self.words[start..]))
     }
 
     /// The next record, as a slice of the current decoded page. Returns
     /// `Ok(None)` at the end of the file and after the first error.
-    ///
-    /// The path every scan uses: one slice per record, no copy and no
-    /// allocation, with the same records, first error and page-read bill
-    /// as [`SeqReader::next_into`] and the iterator.
+    #[inline]
     pub fn next_row(&mut self) -> Result<Option<&[u32]>, StorageError> {
-        if self.failed {
+        if !self.fill()? {
             return Ok(None);
-        }
-        while self.offset == self.words.len() {
-            if !self.advance_page()? {
-                return Ok(None);
-            }
         }
         let start = self.offset;
         self.offset += self.arity;
-        self.yielded += 1;
         Ok(Some(&self.words[start..self.offset]))
-    }
-
-    /// Copy the next record into `out`, overwriting it. Returns
-    /// `Ok(false)` at the end of the file and after the first error.
-    pub fn next_into(&mut self, out: &mut Vec<u32>) -> Result<bool, StorageError> {
-        match self.next_row()? {
-            Some(row) => {
-                out.clear();
-                out.extend_from_slice(row);
-                Ok(true)
-            }
-            None => Ok(false),
-        }
     }
 }
 
@@ -458,18 +425,22 @@ mod tests {
         (rows, err)
     }
 
-    /// The same drain through `next_into` with one reused row.
-    fn drain_into(mut r: SeqReader<'_>) -> Drained {
+    /// The same drain a page at a time through `next_page`, split back
+    /// into records.
+    fn drain_pages(mut r: SeqReader<'_>) -> Drained {
+        let arity = r.arity;
         let mut rows = Vec::new();
-        let mut row = Vec::new();
         let err = loop {
-            match r.next_into(&mut row) {
-                Ok(true) => rows.push(row.clone()),
-                Ok(false) => break None,
+            match r.next_page() {
+                Ok(Some(page)) => {
+                    assert!(!page.is_empty(), "a yielded page holds records");
+                    rows.extend(page.chunks_exact(arity).map(<[u32]>::to_vec));
+                }
+                Ok(None) => break None,
                 Err(e) => break Some(e),
             }
         };
-        assert_eq!(r.next_into(&mut row), Ok(false), "reader must be fused");
+        assert_eq!(r.next_page(), Ok(None), "reader must be fused");
         (rows, err)
     }
 
@@ -487,27 +458,25 @@ mod tests {
         (rows, err)
     }
 
-    /// Drain `file` at prefetch `depth` through each of `next_row`,
-    /// `next_into` and the iterator, each under a fresh scope of `faults`
-    /// and its own counter. All three must agree on the records, the
-    /// first error and the page-read bill; returns what they saw.
+    /// Drain `file` through each of `next_row`, `next_page` and the
+    /// iterator, each under a fresh scope of `faults` and its own counter.
+    /// All three must agree on the records, the first error and the
+    /// page-read bill, and stay fused; returns what they saw.
     fn drain_three_ways(
         file: &SimFile,
         codec: U32RowCodec,
         pool: &BufferPool,
-        depth: usize,
         faults: &FaultConfig,
     ) -> (Drained, crate::IoStats) {
         let arm = |drain: fn(SeqReader<'_>) -> Drained| {
             let _scope = FaultScope::install(faults.clone());
             let counter = IoCounter::new();
-            let r =
-                SeqReader::open_with_prefetch(file, codec, pool, counter.clone(), depth).unwrap();
+            let r = SeqReader::open(file, codec, pool, counter.clone()).unwrap();
             (drain(r), counter.stats())
         };
         let by_rows = arm(drain_rows);
-        assert_eq!(arm(drain_into), by_rows, "next_into, depth={depth}");
-        assert_eq!(arm(drain_iter), by_rows, "iterator, depth={depth}");
+        assert_eq!(arm(drain_pages), by_rows, "next_page");
+        assert_eq!(arm(drain_iter), by_rows, "iterator");
         by_rows
     }
 
@@ -547,10 +516,18 @@ mod tests {
         assert_eq!(rows[7], vec![7, 70]);
         assert_eq!(counter.stats().page_reads, 4);
 
-        // The allocation-free path: same records, same bill.
+        // A page at a time: same records, same bill.
         let r = SeqReader::open(&file, codec, &pool, counter.clone()).unwrap();
-        assert_eq!(drain_into(r), (rows, None));
+        assert_eq!(drain_pages(r), (rows, None));
         assert_eq!(counter.stats().page_reads, 8);
+
+        // Mixed: a page yields only the records `next_row` left unread.
+        let mut r = SeqReader::open(&file, codec, &pool, counter.clone()).unwrap();
+        assert_eq!(r.next_row(), Ok(Some(&[0, 0][..])));
+        assert_eq!(r.next_page(), Ok(Some(&[1, 10, 2, 20][..])));
+        assert_eq!(r.next_row(), Ok(Some(&[3, 30][..])));
+        assert_eq!(r.next_page(), Ok(Some(&[4, 40, 5, 50][..])));
+        assert_eq!(counter.stats().page_reads, 10);
     }
 
     #[test]
@@ -634,93 +611,32 @@ mod tests {
     }
 
     #[test]
-    fn prefetch_reader_matches_unbatched() {
-        let (cfg, pool, counter) = setup();
-        let file = write_ten(cfg, &pool, &counter); // 4 pages
-        let codec = U32RowCodec::new(2);
-        let plain: Vec<Vec<u32>> = SeqReader::open(&file, codec, &pool, counter.clone())
-            .unwrap()
-            .map(|x| x.unwrap())
-            .collect();
-        for depth in 1..=6 {
-            let before = counter.stats().page_reads;
-            let r =
-                SeqReader::open_with_prefetch(&file, codec, &pool, counter.clone(), depth).unwrap();
-            let rows: Vec<Vec<u32>> = r.map(|x| x.unwrap()).collect();
-            assert_eq!(rows, plain, "depth={depth}");
-            // Same bill: every page is read exactly once.
-            assert_eq!(counter.stats().page_reads - before, 4, "depth={depth}");
-        }
-    }
-
-    #[test]
-    fn prefetch_reader_holds_depth_lease() {
-        let (cfg, pool, counter) = setup();
-        let file = write_ten(cfg, &pool, &counter);
-        let codec = U32RowCodec::new(2);
-        {
-            let _r =
-                SeqReader::open_with_prefetch(&file, codec, &pool, counter.clone(), 3).unwrap();
-            assert_eq!(pool.in_use(), 3);
-        }
-        assert_eq!(pool.in_use(), 0);
-        assert!(matches!(
-            SeqReader::open_with_prefetch(&file, codec, &pool, counter.clone(), 0),
-            Err(StorageError::InvalidArgument(_))
-        ));
-        assert!(matches!(
-            SeqReader::open_with_prefetch(&file, codec, &pool, counter, 100),
-            Err(StorageError::PoolExhausted { .. })
-        ));
-    }
-
-    #[test]
-    fn prefetch_reader_surfaces_faults_in_page_order() {
+    fn reader_surfaces_faults_in_page_order() {
         let (cfg, pool, counter) = setup();
         let clean = write_ten(cfg, &pool, &counter);
         let codec = U32RowCodec::new(2);
         let faults = FaultConfig::new().bit_flip_read(2, 7);
-        for depth in 1..=8 {
-            // `next_row`, `next_into` and the iterator see the same records
-            // and the same error at the same page-read bill.
-            let ((rows, err), bill) = drain_three_ways(&clean, codec, &pool, depth, &faults);
-            // Pages 0 and 1 still yield all their records (3 each) before
-            // the damaged page 2 stops the scan, exactly like the
-            // unbatched reader.
-            assert_eq!(rows.len(), 6, "depth={depth}");
-            assert!(
-                matches!(err, Some(StorageError::ChecksumMismatch { page: 2, .. })),
-                "depth={depth}: {err:?}"
-            );
-            // A batch is charged when it is fetched: every batch up to
-            // the one holding page 2, capped at the file's 4 pages.
-            let fetched = ((2 / depth + 1) * depth).min(4) as u64;
-            assert_eq!(bill.page_reads, fetched, "depth={depth}");
-        }
+        // `next_row`, `next_page` and the iterator see the same records
+        // and the same error at the same page-read bill.
+        let ((rows, err), bill) = drain_three_ways(&clean, codec, &pool, &faults);
+        // Pages 0 and 1 still yield all their records (3 each) before the
+        // damaged page 2 stops the scan.
+        assert_eq!(rows.len(), 6);
+        assert!(
+            matches!(err, Some(StorageError::ChecksumMismatch { page: 2, .. })),
+            "{err:?}"
+        );
+        // Pages are charged as they are fetched: 0, 1 and the damaged 2.
+        assert_eq!(bill.page_reads, 3);
     }
 
     #[test]
-    fn buffered_writer_leases_extra_pages() {
+    #[should_panic(expected = "partial row")]
+    fn push_rows_of_a_partial_row_panics() {
         let (cfg, pool, counter) = setup();
         let mut file = SimFile::new();
-        let codec = U32RowCodec::new(2);
-        {
-            let mut w =
-                SeqWriter::open_buffered(&mut file, codec, cfg, &pool, counter.clone(), 2).unwrap();
-            assert_eq!(pool.in_use(), 2);
-            for i in 0..10u32 {
-                w.push(&[i, i * 10]).unwrap();
-            }
-            w.finish().unwrap();
-        }
-        assert_eq!(pool.in_use(), 0);
-        // Identical layout to the single-buffer writer.
-        assert_eq!(file, write_ten(cfg, &pool, &counter));
-        let mut other = SimFile::new();
-        assert!(matches!(
-            SeqWriter::open_buffered(&mut other, codec, cfg, &pool, counter, 0),
-            Err(StorageError::InvalidArgument(_))
-        ));
+        let mut w = SeqWriter::open(&mut file, U32RowCodec::new(2), cfg, &pool, counter).unwrap();
+        let _ = w.push_rows(&[1, 2, 3]);
     }
 
     #[test]
@@ -876,7 +792,7 @@ mod tests {
                 prop_assert_eq!(counter.stats().page_reads, expected_pages as u64);
 
                 let r = SeqReader::open(&file, codec, &pool, counter.clone()).unwrap();
-                prop_assert_eq!(drain_into(r), (records.clone(), None));
+                prop_assert_eq!(drain_pages(r), (records.clone(), None));
                 prop_assert_eq!(counter.stats().page_reads, 2 * expected_pages as u64);
 
                 let r = SeqReader::open(&file, codec, &pool, counter.clone()).unwrap();
@@ -887,12 +803,14 @@ mod tests {
             /// Every stored page is exactly the per-field little-endian
             /// encoding of its rows, with a header over those bytes: the
             /// writer's page-at-a-time encoding stores what the per-record
-            /// encoder stored.
+            /// encoder stored. `push_rows` over any split of the same rows
+            /// stores the same pages and bills the same writes as `push`.
             #[test]
             fn stored_pages_are_the_per_field_encoding(
                 arity_pick in 0usize..4,
                 size_pick in 0usize..3,
                 fields in proptest::collection::vec(0u32..=u32::MAX, 0..4000),
+                cuts in proptest::collection::vec(0usize..400, 0..12),
             ) {
                 let arity = [1, 3, 6, 7][arity_pick];
                 let cfg = PageConfig::with_page_size([25, 64, 4096][size_pick]);
@@ -900,7 +818,8 @@ mod tests {
                 let rows: Vec<&[u32]> = fields.chunks_exact(arity).collect();
                 let pool = BufferPool::unbounded();
                 let mut file = SimFile::new();
-                let opened = SeqWriter::open(&mut file, codec, cfg, &pool, IoCounter::new());
+                let by_row = IoCounter::new();
+                let opened = SeqWriter::open(&mut file, codec, cfg, &pool, by_row.clone());
                 if codec.record_len() > cfg.page_size {
                     // Seven fields (28 bytes) do not fit a 25-byte page.
                     prop_assert!(matches!(opened, Err(StorageError::RecordTooLarge { .. })));
@@ -911,6 +830,22 @@ mod tests {
                     w.push(row).unwrap();
                 }
                 w.finish().unwrap();
+                // The same rows in runs of `cuts` rows (a run may be empty
+                // or cross pages), the rest in one call.
+                let whole = &fields[..rows.len() * arity];
+                let by_run = IoCounter::new();
+                let mut split = SimFile::new();
+                let mut w = SeqWriter::open(&mut split, codec, cfg, &pool, by_run.clone()).unwrap();
+                let mut rest = whole;
+                for &cut in &cuts {
+                    let (run, tail) = rest.split_at((cut * arity).min(rest.len()));
+                    w.push_rows(run).unwrap();
+                    rest = tail;
+                }
+                w.push_rows(rest).unwrap();
+                w.finish().unwrap();
+                prop_assert_eq!(&split, &file);
+                prop_assert_eq!(by_run.stats(), by_row.stats());
                 let per_page = cfg.records_per_page(codec.record_len()).unwrap();
                 prop_assert_eq!(file.pages.len(), rows.len().div_ceil(per_page));
                 for (page, chunk) in file.pages.iter().zip(rows.chunks(per_page)) {
@@ -961,16 +896,9 @@ mod tests {
                         .faults()
                         .filter(|(_, kind)| !kind.is_write())
                         .fold(FaultConfig::new(), |cfg, (op, kind)| cfg.with_fault(op, kind));
-                    // At every prefetch depth, `next_row`, `next_into` and
-                    // the iterator see the same records, first error and
-                    // bill, and every depth sees what the unbatched reader
-                    // sees (only the bill may grow by the batch).
-                    let (by_rows, _) = drain_three_ways(&file, codec, &pool, 1, &read_faults);
-                    for depth in 2..=8 {
-                        let (drained, _) =
-                            drain_three_ways(&file, codec, &pool, depth, &read_faults);
-                        prop_assert_eq!(&drained, &by_rows);
-                    }
+                    // `next_row`, `next_page` and the iterator see the same
+                    // records, first error and bill, and stay fused.
+                    let (by_rows, _) = drain_three_ways(&file, codec, &pool, &read_faults);
                     // A read error here is a loud failure, which is
                     // acceptable; only silent corruption is not.
                     if let (rows, None) = by_rows {

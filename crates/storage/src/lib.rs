@@ -19,7 +19,9 @@
 //! * [`SimFile`] with [`SeqWriter`] / [`SeqReader`] — sequential record
 //!   files materialized as real byte pages, charging one write per emitted
 //!   page and one read per consumed page; each page is encoded once when
-//!   written and decoded once when read, and rows move as `&[u32]` slices;
+//!   written and decoded once when read, and rows move as `&[u32]` slices,
+//!   a page of rows per call ([`SeqReader::next_page`],
+//!   [`SeqWriter::push_rows`]) or one row;
 //! * [`BufferPool`] — a fixed budget of in-memory pages with RAII
 //!   [`PageLease`]s, used by the external algorithms to *prove* they respect
 //!   the 50-page memory limit rather than merely claim it;

@@ -253,13 +253,61 @@ impl TableBuilder {
                 got: codes.len(),
             });
         }
-        if let Some(i) = codes.iter().zip(&self.domains).position(|(&c, &d)| c >= d) {
-            return self.schema.attributes()[i].check(codes[i]);
-        }
+        self.check_domains(codes)?;
         for (col, &c) in self.columns.iter_mut().zip(codes) {
             col.push(c);
         }
         self.len += 1;
+        Ok(())
+    }
+
+    /// The error for the first code of a full-width row outside its
+    /// column's domain.
+    fn check_domains(&self, codes: &[u32]) -> Result<(), TablesError> {
+        match codes.iter().zip(&self.domains).position(|(&c, &d)| c >= d) {
+            Some(i) => self.schema.attributes()[i].check(codes[i]),
+            None => Ok(()),
+        }
+    }
+
+    /// Append every row of `words`, which holds rows back to back,
+    /// `stride` words apart. A row's codes are its first `width` words;
+    /// any words after them (a group id, say) are skipped. Each column
+    /// takes its codes in one strided pass and is validated with one
+    /// maximum over what it took, so a block of rows costs a pass per
+    /// column instead of a call per row. An out-of-domain code fails with
+    /// the error [`TableBuilder::push_row`] gives for the first row
+    /// holding one, and nothing of `words` is appended.
+    ///
+    /// Panics when `stride` is zero or below the schema width, or when
+    /// `words` does not hold a whole number of rows.
+    pub fn push_rows(&mut self, words: &[u32], stride: usize) -> Result<(), TablesError> {
+        let width = self.schema.width();
+        assert!(
+            stride > 0 && stride >= width && words.len().is_multiple_of(stride),
+            "push_rows needs whole rows of at least {width} words: stride {stride}, {} words",
+            words.len()
+        );
+        if words.is_empty() {
+            return Ok(());
+        }
+        let mut in_domain = true;
+        for (c, (col, &domain)) in self.columns.iter_mut().zip(&self.domains).enumerate() {
+            col.extend(words[c..].iter().step_by(stride));
+            // The maximum of the codes just taken: a fold over contiguous
+            // codes vectorizes where a strided one does not.
+            in_domain &= col[self.len..].iter().fold(0, |m, &x| m.max(x)) < domain;
+        }
+        if !in_domain {
+            for col in &mut self.columns {
+                col.truncate(self.len);
+            }
+            let first = words
+                .chunks_exact(stride)
+                .find_map(|row| self.check_domains(&row[..width]).err());
+            return Err(first.expect("a column's maximum lies outside its domain"));
+        }
+        self.len += words.len() / stride;
         Ok(())
     }
 
@@ -330,6 +378,40 @@ mod tests {
             Err(TablesError::ValueOutOfDomain { .. })
         ));
         assert_eq!(b.len(), 0);
+    }
+
+    #[test]
+    fn push_rows_matches_push_row() {
+        // Rows of three codes plus a trailing word that is skipped.
+        let words = [23, 0, 11, 7, 27, 0, 13, 8, 35, 1, 59, 9];
+        let mut b = TableBuilder::new(schema3());
+        b.push_rows(&words[..4], 4).unwrap();
+        b.push_rows(&[], 4).unwrap();
+        b.push_rows(&words[4..], 4).unwrap();
+        assert_eq!(b.finish(), sample());
+
+        // Row 1 has Zip 60 and row 2 Gender 2: the error is the one
+        // `push_row` gives at row 1, and nothing is appended.
+        let bad = [23, 0, 11, 27, 0, 60, 35, 2, 59];
+        let mut one_by_one = TableBuilder::new(schema3());
+        let expected = bad
+            .chunks_exact(3)
+            .find_map(|row| one_by_one.push_row(row).err())
+            .unwrap();
+        let mut b = TableBuilder::new(schema3());
+        let err = b.push_rows(&bad, 3).unwrap_err();
+        assert_eq!(err, expected);
+        assert!(
+            matches!(&err, TablesError::ValueOutOfDomain { attribute, code: 60, .. } if attribute == "Zip"),
+            "{err:?}"
+        );
+        assert!(b.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "whole rows")]
+    fn push_rows_of_a_partial_row_panics() {
+        let _ = TableBuilder::new(schema3()).push_rows(&[1, 0, 2, 3], 3);
     }
 
     #[test]

@@ -48,9 +48,11 @@ use anatomy_tables::Microdata;
 ///   The default; holds the whole relation and partition in memory.
 /// * [`Engine::Sharded`] — the out-of-core sharded pipeline for
 ///   10M–100M-tuple inputs: counts buckets in one scan of the input,
-///   streams group formation with O(λ) resident pages, writes one group id
-///   per tuple, and joins the ids back onto the row-ordered input as the
-///   QIT before merging the ST.
+///   streams group formation holding O(λ) pages, writes one group id per
+///   tuple, and joins the ids back onto the row-ordered input as the QIT
+///   before merging the ST. Replaying each bucket's shuffle also holds
+///   two arrays as long as the largest bucket outside the page budget, so
+///   its memory is O(λ) pages plus O(largest bucket).
 ///   Honors `seed` and `strategy` and publishes tables **bit-for-bit
 ///   identical** to `InMemory` at every scale.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
