@@ -59,6 +59,8 @@
 //! a deviation means the pipeline did something the paper's analysis does
 //! not cover.
 
+#![forbid(unsafe_code)]
+
 mod checks;
 mod checks_incremental;
 pub mod registry;

@@ -12,6 +12,8 @@
 //! workload. The harness defaults to a reduced scale that finishes in
 //! minutes ([`params::Scale::quick`]); `--full` restores the paper's scale.
 
+#![forbid(unsafe_code)]
+
 pub mod figures;
 pub mod params;
 pub mod report;

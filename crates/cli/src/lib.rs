@@ -24,6 +24,8 @@
 //! Command logic lives in this library so it is unit-testable; the binary
 //! is a thin wrapper.
 
+#![forbid(unsafe_code)]
+
 pub mod args;
 pub mod commands;
 pub mod schema_file;

@@ -70,10 +70,10 @@ impl ExternalAnatomizeOutput {
 /// [`AnatomizedTables`](crate::published::AnatomizedTables). Shared by the
 /// external and sharded engines.
 ///
-/// Each QIT page goes straight into the QI columns, checked with one
-/// maximum per column, and the group ids; each ST page into records. An
-/// out-of-domain QI code is the error a row-at-a-time build gives for
-/// the first row holding one.
+/// Each QIT page is transposed in one pass into the QI columns, checked
+/// with one maximum per column, and the group ids; each ST page goes into
+/// records. An out-of-domain QI code is the error a row-at-a-time build
+/// gives for the first row holding one.
 pub fn tables_from_files(
     qit: &SimFile,
     st_file: &SimFile,
@@ -86,12 +86,12 @@ pub fn tables_from_files(
 
     let rows = qit.record_count();
     let mut builder = anatomy_tables::TableBuilder::with_capacity(qi_schema, rows);
-    let mut group_ids = Vec::with_capacity(rows);
+    let mut group_ids = [Vec::with_capacity(rows)];
     let mut reader = SeqReader::open(qit, U32RowCodec::new(d + 1), &pool, scratch.clone())?;
     while let Some(page) = reader.next_page()? {
-        builder.push_rows(page, d + 1)?;
-        group_ids.extend(page[d..].iter().step_by(d + 1));
+        builder.push_rows(page, &mut group_ids)?;
     }
+    let [group_ids] = group_ids;
 
     let mut st = Vec::with_capacity(st_file.record_count());
     let mut reader = SeqReader::open(st_file, U32RowCodec::new(3), &pool, scratch)?;

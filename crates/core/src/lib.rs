@@ -44,6 +44,8 @@
 //! * [`incremental`] — append-only online anatomization (beyond the paper;
 //!   see the module docs for the exact guarantee).
 
+#![forbid(unsafe_code)]
+
 pub mod adversary;
 pub mod anatomize;
 pub mod anatomize_io;

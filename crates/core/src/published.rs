@@ -241,64 +241,66 @@ impl AnatomizedTables {
             )));
         }
 
-        // ST structure: sorted, deduplicated, group ids in range.
-        for w in st.windows(2) {
-            if (w[0].group, w[0].value) >= (w[1].group, w[1].value) {
+        // The ST in one pass. Its checks rank: order (sorted by group
+        // then value, no duplicates), then each group's counts (no zero,
+        // summing to the group's size) in group order, then records past
+        // the QIT's groups, then Definition 2 in group order. Only an order
+        // error ends the pass early; the first error of the highest rank is
+        // reported, as when each check ran over the whole ST in turn.
+        let mut groups = GroupChecks {
+            sizes: &group_sizes,
+            l,
+            offsets: Vec::with_capacity(m + 1),
+            counts: None,
+            diversity: None,
+        };
+        groups.offsets.push(0);
+        // The group of the records being summed, and their sums.
+        let (mut group, mut sums) = (0, Sums::default());
+        let mut beyond = None;
+        let mut last = None;
+        for (i, r) in st.iter().enumerate() {
+            // (group, value) as one number, so the order check is one compare.
+            let key = (u64::from(r.group) << 32) | u64::from(r.value.code());
+            if last.is_some_and(|last| key <= last) {
                 return Err(CoreError::InvalidPartition(format!(
                     "ST records out of order or duplicated at group {} value {}",
-                    w[1].group, w[1].value
+                    r.group, r.value
                 )));
             }
-        }
-        let mut st_offsets = Vec::with_capacity(m + 1);
-        st_offsets.push(0usize);
-        let mut cursor = 0usize;
-        for j in 0..m as GroupId {
-            let mut mass = 0u64;
-            while cursor < st.len() && st[cursor].group == j {
-                if st[cursor].count == 0 {
-                    return Err(CoreError::InvalidPartition(format!(
-                        "ST record with zero count in group {j}"
-                    )));
+            last = Some(key);
+            if r.group != group {
+                if r.group as usize >= m {
+                    beyond.get_or_insert(r.group);
+                    continue;
                 }
-                mass += st[cursor].count as u64;
-                cursor += 1;
+                groups.close_below(r.group as usize, i, std::mem::take(&mut sums));
+                group = r.group;
             }
-            if mass != group_sizes[j as usize] as u64 {
-                return Err(CoreError::InvalidPartition(format!(
-                    "group {j}: ST counts sum to {mass} but QIT has {} tuples",
-                    group_sizes[j as usize]
-                )));
-            }
-            st_offsets.push(cursor);
+            sums.zero |= r.count == 0;
+            sums.mass += u64::from(r.count);
+            sums.max = sums.max.max(r.count);
         }
-        if cursor != st.len() {
+        groups.close_below(m, st.len(), sums);
+        if let Some(e) = groups.counts {
+            return Err(e);
+        }
+        if let Some(g) = beyond {
             return Err(CoreError::InvalidPartition(format!(
-                "ST references group {} beyond the QIT's {m} groups",
-                st[cursor].group
+                "ST references group {g} beyond the QIT's {m} groups"
             )));
         }
-
-        let tables = AnatomizedTables {
+        if let Some(e) = groups.diversity {
+            return Err(e);
+        }
+        Ok(AnatomizedTables {
             qit,
             group_ids,
+            st_offsets: groups.offsets,
             group_sizes,
             st,
-            st_offsets,
             l,
-        };
-        // Definition 2, from the ST alone.
-        for j in 0..m as GroupId {
-            let size = tables.group_size(j) as usize;
-            if let Some(max) = tables.st_of(j).iter().map(|r| r.count as usize).max() {
-                if max * l > size {
-                    return Err(CoreError::InvalidPartition(format!(
-                        "group {j} is not {l}-diverse: a value occurs {max} times in {size} tuples"
-                    )));
-                }
-            }
-        }
-        Ok(tables)
+        })
     }
 
     /// The diversity parameter the tables were published under.
@@ -469,6 +471,61 @@ impl AnatomizedTables {
             let _ = writeln!(out, "{}\t{}\t{}", r.group + 1, label(r.value), r.count);
         }
         out
+    }
+}
+
+/// The per-group half of [`AnatomizedTables::from_parts`]'s ST pass:
+/// the group being summed is the one after the last closed, and each
+/// check keeps the error of the first group that fails it.
+struct GroupChecks<'a> {
+    sizes: &'a [u32],
+    l: usize,
+    /// Where each closed group's records start, and then end.
+    offsets: Vec<usize>,
+    /// A zero count or a mass that is not the group's size.
+    counts: Option<CoreError>,
+    /// A value held by more than 1/l of the group (Definition 2).
+    diversity: Option<CoreError>,
+}
+
+/// What [`GroupChecks`] needs of one group's ST records.
+#[derive(Default)]
+struct Sums {
+    mass: u64,
+    max: u32,
+    zero: bool,
+}
+
+impl GroupChecks<'_> {
+    /// Close every group below `next` (and below the group count): the
+    /// one being summed, whose records end at `end` and sum to `sums`,
+    /// and any after it, which have no records.
+    fn close_below(&mut self, next: usize, end: usize, mut sums: Sums) {
+        let next = next.min(self.sizes.len());
+        while self.offsets.len() <= next {
+            let j = self.offsets.len() - 1;
+            let size = self.sizes[j];
+            if self.counts.is_none() {
+                if sums.zero {
+                    self.counts = Some(CoreError::InvalidPartition(format!(
+                        "ST record with zero count in group {j}"
+                    )));
+                } else if sums.mass != u64::from(size) {
+                    self.counts = Some(CoreError::InvalidPartition(format!(
+                        "group {j}: ST counts sum to {} but QIT has {size} tuples",
+                        sums.mass
+                    )));
+                }
+            }
+            let (max, size, l) = (sums.max as usize, size as usize, self.l);
+            if self.diversity.is_none() && max * l > size {
+                self.diversity = Some(CoreError::InvalidPartition(format!(
+                    "group {j} is not {l}-diverse: a value occurs {max} times in {size} tuples"
+                )));
+            }
+            self.offsets.push(end);
+            sums = Sums::default();
+        }
     }
 }
 
@@ -758,6 +815,105 @@ mod tests {
         for ids in [vec![0, 0, 3, 3], vec![0, 0, 9, 9]] {
             let err = AnatomizedTables::from_parts(qit(4), ids, st(&[0, 1]), 2).unwrap_err();
             assert!(err.to_string().contains("group 1 has no tuples"), "{err}");
+        }
+    }
+
+    /// Releases that break two invariants at once report the one that
+    /// ranks first: ST order, then each group's counts (zero, then mass)
+    /// in group order, then an ST group past the QIT's, then Definition 2.
+    #[test]
+    fn from_parts_reports_the_first_error_of_two() {
+        // Six groups of two tuples at l = 2; each group's ST holds values
+        // 0 and 1 once.
+        let schema = paper_md().table().schema().project(&[0]).unwrap();
+        let mut b = TableBuilder::new(schema);
+        for i in 0..12 {
+            b.push_row(&[20 + i]).unwrap();
+        }
+        let qit = b.finish();
+        let gids: Vec<GroupId> = (0..12).map(|r| r / 2).collect();
+        let base: Vec<[u32; 3]> = (0..6).flat_map(|g| [[g, 0, 1], [g, 1, 1]]).collect();
+        type Edit = fn(&mut Vec<[u32; 3]>);
+        let cases: [(&str, Edit, &str); 7] = [
+            (
+                "out of order in group 5, mass in group 2",
+                |st| {
+                    st[5][2] = 2;
+                    st.swap(10, 11);
+                },
+                "ST records out of order or duplicated at group 5 value 0",
+            ),
+            (
+                "zero count in group 1, non-diverse group 0",
+                |st| {
+                    st[0][2] = 2;
+                    st.remove(1);
+                    st[1][2] = 0;
+                },
+                "ST record with zero count in group 1",
+            ),
+            (
+                "zero count in group 3, mass in group 1",
+                |st| {
+                    st[3][2] = 2;
+                    st[6][2] = 0;
+                },
+                "group 1: ST counts sum to 3 but QIT has 2 tuples",
+            ),
+            (
+                "group past m, non-diverse group 0",
+                |st| {
+                    st[0][2] = 2;
+                    st.remove(1);
+                    st.push([6, 0, 1]);
+                },
+                "ST references group 6 beyond the QIT's 6 groups",
+            ),
+            (
+                "group past m, group 5 without records",
+                |st| {
+                    st[10][0] = 6;
+                    st[11][0] = 6;
+                },
+                "group 5: ST counts sum to 0 but QIT has 2 tuples",
+            ),
+            (
+                "non-diverse group 1, mass in group 4",
+                |st| {
+                    st[2][2] = 2;
+                    st.remove(3);
+                    st[7][2] = 2;
+                },
+                "group 4: ST counts sum to 3 but QIT has 2 tuples",
+            ),
+            (
+                "non-diverse groups 2 and 4",
+                |st| {
+                    for g in [4, 2] {
+                        st[2 * g][2] = 2;
+                        st.remove(2 * g + 1);
+                    }
+                },
+                "group 2 is not 2-diverse: a value occurs 2 times in 2 tuples",
+            ),
+        ];
+        for (case, edit, expected) in cases {
+            let mut st = base.clone();
+            edit(&mut st);
+            let st = st
+                .iter()
+                .map(|&[group, value, count]| StRecord {
+                    group,
+                    value: Value(value),
+                    count,
+                })
+                .collect();
+            match AnatomizedTables::from_parts(qit.clone(), gids.clone(), st, 2) {
+                Err(CoreError::InvalidPartition(message)) => {
+                    assert_eq!(message, expected, "{case}")
+                }
+                other => panic!("{case}: {other:?}"),
+            }
         }
     }
 

@@ -18,8 +18,12 @@ use anatomy_tables::{Schema, TableBuilder, TablesError, Value};
 /// codes per row, 1-based group ids.
 pub fn qit_to_csv(tables: &AnatomizedTables) -> String {
     let schema = tables.qi_table().schema();
-    let columns: Vec<&[u32]> = (0..tables.qi_count()).map(|i| tables.qi_codes(i)).collect();
-    let texts: Vec<codec::CodeText> = (0..tables.qi_count())
+    let d = tables.qi_count();
+    let columns: Vec<&[u32]> = (0..d)
+        .map(|i| tables.qi_codes(i))
+        .chain([tables.group_ids()])
+        .collect();
+    let texts: Vec<codec::CodeText> = (0..d)
         .map(|i| codec::CodeText::new(tables.qi_domain_size(i), b','))
         .chain([codec::CodeText::new(group_id_domain(tables), b'\n')])
         .collect();
@@ -35,10 +39,9 @@ pub fn qit_to_csv(tables: &AnatomizedTables) -> String {
     let header = schema.names().join(",") + ",Group-ID\n";
     let mut out = codec::Writer::with_capacity(header.len() + tables.len() * row_bytes);
     out.str(&header);
-    let group_ids = tables.group_ids();
-    out.rows(&texts, 0..tables.len(), |r, k| match columns.get(k) {
-        Some(column) => column[r],
-        None => group_ids[r] + 1,
+    // The last column holds the 0-based group ids.
+    out.rows(&texts, 0..tables.len(), |r, k| {
+        columns[k][r] + u32::from(k == d)
     });
     out.into_string()
 }
@@ -506,14 +509,14 @@ mod tests {
         codes
     }
 
-    /// A 2-diverse release over a random QI schema with domains from
-    /// [`DOMAINS`]: boundary codes in the QIT, and per group two sensitive
-    /// values up to `u32::MAX` with equal counts.
+    /// A 2-diverse release over a random QI schema of 1 to 8 attributes
+    /// with domains from [`DOMAINS`]: boundary codes in the QIT, and per
+    /// group two sensitive values up to `u32::MAX` with equal counts.
     fn boundary_release(seed: u64) -> AnatomizedTables {
         use rand::rngs::StdRng;
         use rand::{RngExt, SeedableRng};
         let mut rng = StdRng::seed_from_u64(seed);
-        let width = rng.random_range(1..5usize);
+        let width = rng.random_range(1..9usize);
         let attrs = (0..width)
             .map(|c| {
                 Attribute::numerical(format!("Q{c}"), DOMAINS[rng.random_range(0..DOMAINS.len())])
@@ -555,10 +558,33 @@ mod tests {
         AnatomizedTables::from_parts(b.finish(), gids, st, 2).unwrap()
     }
 
+    /// 70 000 groups of two, more than `CodeText` renders, so both files'
+    /// group ids past 65 535 are written digit by digit.
+    fn many_groups_release() -> AnatomizedTables {
+        let schema = Schema::new(vec![
+            Attribute::numerical("Q0", 7),
+            Attribute::numerical("Q1", 100_000),
+        ])
+        .unwrap();
+        let mut b = TableBuilder::new(schema);
+        for r in 0..140_000u32 {
+            b.push_row(&[r % 7, r % 100_000]).unwrap();
+        }
+        let gids: Vec<GroupId> = (0..140_000).map(|r| r / 2).collect();
+        let st = (0..140_000)
+            .map(|r| StRecord {
+                group: r / 2,
+                value: Value(r % 2 * 9),
+                count: 1,
+            })
+            .collect();
+        AnatomizedTables::from_parts(b.finish(), gids, st, 2).unwrap()
+    }
+
     #[test]
     fn release_text_matches_a_format_oracle() {
-        for seed in 0..64 {
-            let tables = boundary_release(seed);
+        let releases = (0..64).map(boundary_release).chain([many_groups_release()]);
+        for (seed, tables) in releases.enumerate() {
             let schema = tables.qi_table().schema();
             let mut qit = schema.names().join(",") + ",Group-ID\n";
             for (r, g) in tables.group_ids().iter().enumerate() {

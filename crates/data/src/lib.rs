@@ -16,6 +16,8 @@
 //! * [`occ_sal`] — the OCC-d and SAL-d microdata designations of
 //!   Section 6.
 
+#![forbid(unsafe_code)]
+
 pub mod census;
 pub mod occ_sal;
 pub mod taxonomies;

@@ -25,6 +25,8 @@
 //!   certainty penalty, KL-divergence (the alternative metrics the paper's
 //!   Section 7 points to).
 
+#![forbid(unsafe_code)]
+
 pub mod error;
 pub mod generalized_table;
 pub mod global_recode;

@@ -74,6 +74,8 @@
 //! (and the `check_manifest` binary) verify an emitted manifest is
 //! well-formed.
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 mod expo;
 mod hist;
 mod json;

@@ -96,10 +96,15 @@ struct Journal {
     dropped: AtomicU64,
 }
 
-// SAFETY: concurrent readers only touch slots below the Acquire-loaded
-// `len`, which the single writing (owner) thread published with Release
-// *after* initialising the slot. The owner never rewrites a slot.
+// SAFETY: every field but `slots` is `Send` on its own, and a `Slot` holds
+// a `Copy` event with no thread affinity, so moving the journal to another
+// thread moves plain data.
 unsafe impl Send for Journal {}
+// SAFETY: `tid` and `thread_name` are never written after `new`, and `len`
+// and `dropped` are atomics. Of `slots`, concurrent readers only touch
+// slots below the Acquire-loaded `len`, which the single writing (owner)
+// thread published with Release *after* initialising the slot. The owner
+// never rewrites a slot.
 unsafe impl Sync for Journal {}
 
 impl Journal {

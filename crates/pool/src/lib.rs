@@ -32,6 +32,8 @@
 //!   [`ItemCost`] hint lets callers declare items cheap (default cutoff)
 //!   or heavy (parallelize from 2 items).
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 use std::collections::VecDeque;
 use std::mem::{ManuallyDrop, MaybeUninit};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -269,10 +271,13 @@ impl Pool {
             }
         }
 
+        let mut slots = ManuallyDrop::new(slots);
         // SAFETY: every index in 0..n was written exactly once (cursor
         // hands out disjoint ranges; pending == 0 means all lanes done and
-        // their writes are ordered before the Acquire loads in wait).
-        let mut slots = ManuallyDrop::new(slots);
+        // their writes are ordered before the Acquire loads in wait), and
+        // `MaybeUninit<R>` has `R`'s size and alignment, so the buffer,
+        // length and capacity are a valid `Vec<R>`; `ManuallyDrop` keeps
+        // the old vector from freeing it.
         unsafe { Vec::from_raw_parts(slots.as_mut_ptr() as *mut R, n, slots.capacity()) }
     }
 
@@ -342,6 +347,9 @@ impl<T: Sync, R: Send, F: Fn(&T) -> R + Sync> BatchState<T, R, F> {
         // index is handed to exactly one lane by the cursor.
         let items = unsafe { std::slice::from_raw_parts(self.items as *const T, self.len) };
         let slots = self.slots as *mut MaybeUninit<R>;
+        // SAFETY: `f` points at the caller's closure, which outlives the
+        // batch like `items` (scoped protocol), and `F: Sync` lets every
+        // lane share it.
         let f = unsafe { &*(self.f as *const F) };
         loop {
             if self.panicked.load(Ordering::Relaxed) {
@@ -353,6 +361,8 @@ impl<T: Sync, R: Send, F: Fn(&T) -> R + Sync> BatchState<T, R, F> {
             }
             let end = (start + self.chunk).min(self.len);
             for (off, item) in items[start..end].iter().enumerate() {
+                // SAFETY: `start + off < len`, the slots' length, and the
+                // cursor handed this index to this lane alone.
                 unsafe { (*slots.add(start + off)).write(f(item)) };
             }
         }
@@ -370,6 +380,8 @@ unsafe fn run_batch_share<T: Sync, R: Send, F: Fn(&T) -> R + Sync>(
     inner: &PoolInner,
     helped: bool,
 ) {
+    // SAFETY: the caller vouches that `ptr` is a live batch state of
+    // these types, whose owner blocks until this share completes.
     let state = unsafe { &*(ptr as *const BatchState<T, R, F>) };
     // Only read the clock when the registry records; the histogram's own
     // enabled check would not save the two `Instant` calls.

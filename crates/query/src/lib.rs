@@ -40,6 +40,8 @@
 //!   (`anatomy_pool`), the entry points the experiment harness and CLI
 //!   batch paths share.
 
+#![forbid(unsafe_code)]
+
 pub mod accuracy;
 pub mod batch;
 pub mod bitmap;

@@ -107,6 +107,8 @@
 //! handle.join().unwrap().unwrap();
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod client;
 pub mod protocol;
 pub mod release;

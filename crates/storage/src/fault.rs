@@ -302,11 +302,13 @@ pub(crate) fn on_write(payload: &mut Vec<u8>, page: usize) -> Result<(), Storage
     verdict
 }
 
-/// Read-path hook: called by `SeqReader` with its private copy of a
-/// page's payload, before header verification. May truncate or corrupt
-/// the copy in place (never the stored page). Journals a `PageRead`
-/// trace event (plus `FaultFired` when a schedule entry matched).
-pub(crate) fn on_read(payload: &mut Vec<u8>, page: usize) {
+/// Read-path hook: called by `SeqReader` as it loads page `page`, before
+/// header verification. Returns the read faults scheduled at this op, in
+/// schedule order, for [`apply_read`] to apply to a copy of the payload
+/// (never the stored page); empty, with no allocation, when none fires.
+/// Journals a `PageRead` trace event (plus `FaultFired` when a schedule
+/// entry matched).
+pub(crate) fn on_read(page: usize) -> Vec<FaultKind> {
     let (op, fired) = STACK.with(|s| {
         let mut s = s.borrow_mut();
         match s.last_mut() {
@@ -316,28 +318,18 @@ pub(crate) fn on_read(payload: &mut Vec<u8>, page: usize) {
                     c.set((w, r + 1));
                     r
                 });
-                (op, false)
+                (op, Vec::new())
             }
             Some(state) => {
                 let op = state.reads;
                 state.reads += 1;
-                let mut fired = false;
-                for &(at, kind) in &state.cfg.on_read {
-                    if at != op {
-                        continue;
-                    }
-                    match kind {
-                        FaultKind::ShortRead { keep } => {
-                            payload.truncate(keep);
-                            fired = true;
-                        }
-                        FaultKind::BitFlipRead { bit } => {
-                            flip(payload, bit);
-                            fired = true;
-                        }
-                        _ => {}
-                    }
-                }
+                let fired = state
+                    .cfg
+                    .on_read
+                    .iter()
+                    .filter(|&&(at, _)| at == op)
+                    .map(|&(_, kind)| kind)
+                    .collect();
                 (op, fired)
             }
         }
@@ -348,8 +340,21 @@ pub(crate) fn on_read(payload: &mut Vec<u8>, page: usize) {
             op,
             page: page as u64,
         });
-        if fired {
+        if !fired.is_empty() {
             t.emit(EventKind::FaultFired { op, write: false });
+        }
+    }
+    fired
+}
+
+/// Apply read faults from [`on_read`] to `payload`, a copy of a page's
+/// stored bytes, in order: truncate it or flip one of its bits.
+pub(crate) fn apply_read(payload: &mut Vec<u8>, faults: &[FaultKind]) {
+    for &kind in faults {
+        match kind {
+            FaultKind::ShortRead { keep } => payload.truncate(keep),
+            FaultKind::BitFlipRead { bit } => flip(payload, bit),
+            _ => {}
         }
     }
 }
@@ -392,13 +397,11 @@ mod tests {
         assert_eq!(w1, vec![0xAA, 0xAA]); // truncated
 
         let mut r0 = vec![0u8; 4];
-        on_read(&mut r0, 0);
+        apply_read(&mut r0, &on_read(0));
         assert_eq!(r0[0], 1 << 3); // bit 3 flipped
-        let mut r1 = vec![0u8; 4];
-        on_read(&mut r1, 1);
-        assert_eq!(r1, vec![0u8; 4]); // untouched
+        assert!(on_read(1).is_empty()); // untouched
         let mut r2 = vec![0u8; 4];
-        on_read(&mut r2, 2);
+        apply_read(&mut r2, &on_read(2));
         assert!(r2.is_empty()); // short read to zero bytes
     }
 
@@ -423,9 +426,7 @@ mod tests {
         }));
         assert!(unwound.is_err());
         assert!(on_write(&mut vec![0u8; 4], 0).is_ok());
-        let mut r = vec![0u8; 4];
-        on_read(&mut r, 0);
-        assert_eq!(r, vec![0u8; 4]); // no flip: inner scope gone too
+        assert!(on_read(0).is_empty()); // no flip: inner scope gone too
     }
 
     #[test]

@@ -239,17 +239,18 @@ impl Drop for SeqWriter<'_> {
 ///
 /// Holds one buffer page leased from the pool. A page read is charged
 /// lazily when the cursor first touches each page. On first touch the
-/// payload is copied into the reader's scratch bytes and its header is
-/// verified (magic, format version, length, checksum), so damaged pages
-/// surface as one typed [`StorageError`] instead of garbage records; a
-/// verified page is decoded once into words. [`SeqReader::next_page`]
-/// yields the current page's unread records as one slice of those words;
-/// [`SeqReader::next_row`] is its one-record view, and the `Iterator`
-/// copies each record into a fresh row. The reader yields exactly
-/// [`SimFile::record_count`] records or an error: a file whose pages end
-/// early produces [`StorageError::Truncated`]. After the first error the
-/// reader is fused: `next_page` and `next_row` return `Ok(None)` and the
-/// iterator `None`.
+/// page's header is verified (magic, format version, length, checksum)
+/// against its stored bytes, so damaged pages surface as one typed
+/// [`StorageError`] instead of garbage records, and a verified page is
+/// decoded once into words. Only a read that a fault schedule damages
+/// works on a copy of the bytes; the stored page never changes.
+/// [`SeqReader::next_page`] yields the current page's unread records as
+/// one slice of those words; [`SeqReader::next_row`] is its one-record
+/// view, and the `Iterator` copies each record into a fresh row. The
+/// reader yields exactly [`SimFile::record_count`] records or an error: a
+/// file whose pages end early produces [`StorageError::Truncated`]. After
+/// the first error the reader is fused: `next_page` and `next_row` return
+/// `Ok(None)` and the iterator `None`.
 pub struct SeqReader<'a> {
     arity: usize,
     counter: IoCounter,
@@ -262,7 +263,8 @@ pub struct SeqReader<'a> {
     /// Records in the pages fetched so far.
     fetched: usize,
     failed: bool,
-    /// One page's bytes as read back, before verification.
+    /// A copy of the current page's bytes, made only when a scheduled
+    /// read fault rewrites them.
     bytes: Vec<u8>,
     read_ns: anatomy_obs::Histogram,
     _lease: PageLease,
@@ -297,10 +299,9 @@ impl<'a> SeqReader<'a> {
         e
     }
 
-    /// Make the next page current: charge the read, copy the payload
-    /// (read faults apply to the copy, never the stored bytes), verify
-    /// its header and decode it. `Ok(false)` at the end of the pages,
-    /// when the file's metadata confirms every record was fetched.
+    /// Make the next page current: charge the read, verify its header
+    /// and decode it. `Ok(false)` at the end of the pages, when the file's
+    /// metadata confirms every record was fetched.
     fn fetch_page(&mut self) -> Result<bool, StorageError> {
         let idx = self.page_idx;
         let Some(page) = self.file.pages.get(idx) else {
@@ -320,12 +321,20 @@ impl<'a> SeqReader<'a> {
         let t0 = anatomy_obs::global()
             .enabled()
             .then(std::time::Instant::now);
-        self.bytes.clear();
-        self.bytes.extend_from_slice(&page.payload);
-        fault::on_read(&mut self.bytes, idx);
-        let verified = page.header.verify(&self.bytes, self.arity * 4, idx);
+        // A clean read verifies and decodes the stored bytes where they
+        // lie; a scheduled read fault rewrites a copy, never the page.
+        let faults = fault::on_read(idx);
+        let payload: &[u8] = if faults.is_empty() {
+            &page.payload
+        } else {
+            self.bytes.clear();
+            self.bytes.extend_from_slice(&page.payload);
+            fault::apply_read(&mut self.bytes, &faults);
+            &self.bytes
+        };
+        let verified = page.header.verify(payload, self.arity * 4, idx);
         if verified.is_ok() {
-            decode_page(&self.bytes, &mut self.words);
+            decode_page(payload, &mut self.words);
         }
         if let Some(t0) = t0 {
             self.read_ns
@@ -628,6 +637,49 @@ mod tests {
         );
         // Pages are charged as they are fetched: 0, 1 and the damaged 2.
         assert_eq!(bill.page_reads, 3);
+    }
+
+    /// A clean read verifies the stored bytes where they lie, so a read
+    /// fault must damage only a copy: after drains under short-read and
+    /// bit-flip schedules at every page op, and under seeded ones, the
+    /// file equals its clone from before and a clean drain returns the
+    /// rows written.
+    #[test]
+    fn read_faults_never_reach_stored_pages() {
+        let (cfg, pool, counter) = setup();
+        let file = write_ten(cfg, &pool, &counter);
+        let before = file.clone();
+        let codec = U32RowCodec::new(2);
+        let clean = drain_rows(SeqReader::open(&file, codec, &pool, IoCounter::new()).unwrap());
+        assert_eq!(clean.0.len(), 10);
+        assert_eq!(clean.1, None);
+        let swept = (0..file.page_count() as u64).flat_map(|op| {
+            [
+                FaultConfig::new().short_read(op, 0),
+                FaultConfig::new().short_read(op, 5),
+                FaultConfig::new().bit_flip_read(op, 0),
+                FaultConfig::new().bit_flip_read(op, 7 + 13 * op),
+                FaultConfig::new().short_read(op, 3).bit_flip_read(op, 1),
+            ]
+        });
+        let seeded = (0..256).map(|seed| {
+            FaultConfig::seeded(seed)
+                .faults()
+                .filter(|(_, kind)| !kind.is_write())
+                .fold(FaultConfig::new(), |cfg, (op, kind)| {
+                    cfg.with_fault(op, kind)
+                })
+        });
+        let mut loud = 0;
+        for faults in swept.chain(seeded) {
+            let ((_, err), _) = drain_three_ways(&file, codec, &pool, &faults);
+            loud += usize::from(err.is_some());
+            assert_eq!(file, before, "{faults:?} reached the stored pages");
+            let again = drain_rows(SeqReader::open(&file, codec, &pool, IoCounter::new()).unwrap());
+            assert_eq!(again, clean, "{faults:?}");
+        }
+        // Every swept fault hits a page and is caught.
+        assert!(loud >= 5 * file.page_count(), "{loud}");
     }
 
     #[test]

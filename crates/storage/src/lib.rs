@@ -34,6 +34,8 @@
 //! inject short reads/writes, bit flips, and ENOSPC on a seeded schedule
 //! so error paths are tested, not assumed.
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 pub mod buffer;
 pub mod counter;
 pub mod error;

@@ -6,8 +6,9 @@
 //!
 //! * [`Writer`] puts text into one byte buffer, two digits per step,
 //!   without the `fmt` machinery, [`CodeText`] renders a small-domain
-//!   column's codes once per call, and [`Writer::rows`] writes lines of
-//!   such codes a block of rows at a time;
+//!   column's codes once per call, and [`Writer::rows`], one kernel
+//!   compiled per row width, writes lines of such codes a block of rows at
+//!   a time into room it checks once per block;
 //! * [`scan_row`] reads a line of comma-separated codes in place, at the
 //!   start of whatever bytes the caller holds, and finds the line's end as
 //!   it goes;
@@ -61,16 +62,17 @@ fn put_digits(out: &mut [u8], mut v: u32) {
 
 /// The most bytes a field of [`Writer::rows`] takes in the buffer while
 /// it is written: a `u32`'s ten digits and a separator, which also covers
-/// a rendered code's 8-byte copy.
+/// a rendered code's 8-byte store.
 pub(crate) const FIELD_ROOM: usize = 11;
 
 /// Text built in one byte buffer: decimal codes, ASCII separators and
-/// whole strings, so the buffer is always valid UTF-8.
+/// whole strings.
 #[derive(Debug, Default)]
 pub struct Writer {
-    /// Initialized bytes; the text is `bytes[..len]`.
+    /// The text. Only ASCII bytes and whole strings are appended, so it is
+    /// always valid UTF-8; [`Writer::rows`] renders into the spare capacity
+    /// behind it, which is never zero-filled.
     bytes: Vec<u8>,
-    len: usize,
 }
 
 impl Writer {
@@ -78,32 +80,17 @@ impl Writer {
     /// room one more field of [`Writer::rows`] asks at their end.
     pub fn with_capacity(bytes: usize) -> Self {
         Writer {
-            bytes: vec![0; bytes + FIELD_ROOM],
-            len: 0,
+            bytes: Vec::with_capacity(bytes + FIELD_ROOM),
         }
-    }
-
-    /// The next `n` bytes of the buffer, growing it if needed.
-    #[inline]
-    fn room(&mut self, n: usize) -> &mut [u8] {
-        if self.bytes.len() - self.len < n {
-            self.grow(n);
-        }
-        &mut self.bytes[self.len..self.len + n]
-    }
-
-    #[cold]
-    fn grow(&mut self, n: usize) {
-        let len = (self.bytes.len() * 2).max(self.len + n).max(64);
-        self.bytes.resize(len, 0);
     }
 
     /// Append `v` in decimal.
     #[inline]
     pub fn u32(&mut self, v: u32) {
+        let mut text = [0u8; FIELD_ROOM];
         let n = digits(v);
-        put_digits(self.room(n), v);
-        self.len += n;
+        put_digits(&mut text[..n], v);
+        self.bytes.extend_from_slice(&text[..n]);
     }
 
     /// Append `v` in decimal.
@@ -114,48 +101,75 @@ impl Writer {
         }
     }
 
-    /// Append `code` and its column's separator, from `text`'s rendering
-    /// when it has one.
-    fn code(&mut self, text: &CodeText, code: u32) {
-        self.room(FIELD_ROOM);
-        self.len += text.put(&mut self.bytes, self.len, code);
-    }
-
     /// Append one line per row of `rows`: field `k` of row `r` is the code
     /// `field(r, k)`, written with `texts[k]` and its separator, so the
     /// last text's separator ends the line.
     ///
-    /// The rows go a block at a time: as many as the free room holds at
-    /// their worst case (11 bytes a field, a `u32`'s ten digits and a
-    /// separator), written with one cursor and no capacity check per
-    /// field. A writer presized to its text never grows: once less than
-    /// one row's worst case is free, the rows left are written field by
-    /// field.
+    /// One kernel writes every width, compiled for each width up to 8
+    /// and for wider rows read at run time. The rows go a block at a
+    /// time: as many as the free room holds at their worst case (11 bytes
+    /// a field, a `u32`'s ten digits and a separator), checked once per
+    /// block, and a rendered field is one slot load and one 8-byte store.
+    /// A writer presized to its text never grows: once less than one
+    /// row's worst case is free, the rows left are written field by field.
     pub fn rows(
         &mut self,
         texts: &[CodeText],
         rows: Range<usize>,
-        mut field: impl FnMut(usize, usize) -> u32,
+        field: impl Fn(usize, usize) -> u32,
     ) {
-        let row_room = (texts.len() * FIELD_ROOM).max(1);
+        match texts.len() {
+            0 => {}
+            1 => self.rows_of::<1>(texts, rows, field),
+            2 => self.rows_of::<2>(texts, rows, field),
+            3 => self.rows_of::<3>(texts, rows, field),
+            4 => self.rows_of::<4>(texts, rows, field),
+            5 => self.rows_of::<5>(texts, rows, field),
+            6 => self.rows_of::<6>(texts, rows, field),
+            7 => self.rows_of::<7>(texts, rows, field),
+            8 => self.rows_of::<8>(texts, rows, field),
+            _ => self.rows_of::<0>(texts, rows, field),
+        }
+    }
+
+    /// [`Writer::rows`] for rows of `W` fields, or, when `W` is 0, of
+    /// `texts.len()` fields.
+    #[inline(always)]
+    fn rows_of<const W: usize>(
+        &mut self,
+        texts: &[CodeText],
+        rows: Range<usize>,
+        field: impl Fn(usize, usize) -> u32,
+    ) {
+        let texts = &texts[..if W == 0 { texts.len() } else { W }];
+        let row_room = texts.len() * FIELD_ROOM;
         let mut r = rows.start;
         while r < rows.end {
-            let fit = ((self.bytes.len() - self.len) / row_room).min(rows.end - r);
+            let free = self.bytes.capacity() - self.bytes.len();
+            let fit = (free / row_room).min(rows.end - r);
             if fit == 0 {
                 for (k, text) in texts.iter().enumerate() {
-                    self.code(text, field(r, k));
+                    self.bytes.reserve(FIELD_ROOM);
+                    let end = self.bytes.len();
+                    // SAFETY: `reserve` left FIELD_ROOM bytes of spare
+                    // capacity at `end`, all that `put` writes, and `put`
+                    // initializes the `n` bytes that `set_len` takes in.
+                    unsafe {
+                        let n = text.put(self.bytes.as_mut_ptr().add(end), field(r, k));
+                        self.bytes.set_len(end + n);
+                    }
                 }
                 r += 1;
                 continue;
             }
-            let out = &mut self.bytes[self.len..];
-            let mut at = 0;
-            for row in r..r + fit {
-                for (k, text) in texts.iter().enumerate() {
-                    at += text.put(out, at, field(row, k));
-                }
+            let end = self.bytes.len();
+            // SAFETY: the block's `fit` rows take at most `fit * row_room`
+            // bytes at their worst case, which the spare capacity at `end`
+            // holds; `put_block` initializes the `n` bytes `set_len` takes.
+            unsafe {
+                let n = put_block(self.bytes.as_mut_ptr().add(end), texts, r..r + fit, &field);
+                self.bytes.set_len(end + n);
             }
-            self.len += at;
             r += fit;
         }
     }
@@ -164,60 +178,87 @@ impl Writer {
     #[inline]
     pub fn byte(&mut self, b: u8) {
         assert!(b.is_ascii(), "a single byte of text must be ASCII");
-        self.room(1)[0] = b;
-        self.len += 1;
+        self.bytes.push(b);
     }
 
     /// Append `s`.
     #[inline]
     pub fn str(&mut self, s: &str) {
-        self.room(s.len()).copy_from_slice(s.as_bytes());
-        self.len += s.len();
+        self.bytes.extend_from_slice(s.as_bytes());
     }
 
     /// Bytes written so far.
     #[inline]
     pub fn len(&self) -> usize {
-        self.len
+        self.bytes.len()
     }
 
     /// Whether nothing has been written.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.bytes.is_empty()
     }
 
     /// The text written so far.
     #[inline]
     pub fn as_bytes(&self) -> &[u8] {
-        &self.bytes[..self.len]
+        &self.bytes
     }
 
     /// Forget the text, keeping the buffer.
     #[inline]
     pub fn clear(&mut self) {
-        self.len = 0;
+        self.bytes.clear();
     }
 
     /// The text as a `String`.
-    pub fn into_string(mut self) -> String {
-        self.bytes.truncate(self.len);
-        String::from_utf8(self.bytes).expect("the writer takes only ASCII bytes and whole strings")
+    pub fn into_string(self) -> String {
+        // SAFETY: every append is ASCII (digits, asserted separators and
+        // bytes) or a whole `&str`, so the bytes are valid UTF-8; checking
+        // them again would cost a pass over the whole text.
+        unsafe { String::from_utf8_unchecked(self.bytes) }
     }
+}
+
+/// Write the fields of `rows` back to back at `out`, as [`Writer::rows`]
+/// writes them, and return how many bytes the text takes.
+///
+/// # Safety
+///
+/// `out` must be valid for writes of
+/// `rows.len() * texts.len() * FIELD_ROOM` bytes.
+#[inline(always)]
+unsafe fn put_block(
+    out: *mut u8,
+    texts: &[CodeText],
+    rows: Range<usize>,
+    field: &impl Fn(usize, usize) -> u32,
+) -> usize {
+    let mut at = 0;
+    for r in rows {
+        for (k, text) in texts.iter().enumerate() {
+            // SAFETY: each field before this one advanced `at` by at most
+            // FIELD_ROOM, so FIELD_ROOM bytes from `at` lie inside the
+            // room the caller vouches for.
+            at += unsafe { text.put(out.add(at), field(r, k)) };
+        }
+    }
+    at
 }
 
 /// How one column's codes are written, each followed by the column's
 /// separator.
 ///
 /// A column with a small domain is rendered once: every code's text and
-/// separator in an 8-byte slot, its length in the slot's last byte. Writing
-/// a code is then one 8-byte copy, with no digit loop and no branch on how
-/// many digits the code has, which is what a random mix of one- and
-/// two-digit codes costs most. Larger domains, and codes outside the
-/// rendered domain, are written digit by digit; the text is the same.
+/// separator in the low bytes of a little-endian `u64` slot, its length in
+/// the top byte. Writing a code is then one slot load and one 8-byte
+/// store, with no digit loop and no branch on how many digits the code
+/// has, which is what a random mix of one- and two-digit codes costs most.
+/// Larger domains, and codes outside the rendered domain, are written
+/// digit by digit; the text is the same.
 #[derive(Debug, Clone)]
 pub struct CodeText {
-    slots: Vec<[u8; 8]>,
+    slots: Vec<u64>,
     sep: u8,
 }
 
@@ -225,7 +266,7 @@ impl CodeText {
     /// The largest domain worth rendering: 512 KiB of slots, which a
     /// release's group ids (n / l of them) fill at n = 655 360, l = 10.
     /// Its codes have at most 6 digits, so a code and its separator leave
-    /// the slot's last byte for the length.
+    /// the slot's top byte for the length.
     const MAX_RENDERED: u32 = 1 << 16;
 
     /// Codes `0..domain`, each followed by the ASCII byte `sep`.
@@ -236,44 +277,82 @@ impl CodeText {
         } else {
             0
         };
+        // Code 0's slot, then each next code's by a decimal increment.
+        let mut slot = u64::from_le_bytes([b'0', sep, 0, 0, 0, 0, 0, 2]);
         let slots = (0..rendered)
-            .map(|v| {
-                let mut slot = [0u8; 8];
-                let n = digits(v);
-                put_digits(&mut slot[..n], v);
-                slot[n] = sep;
-                slot[7] = (n + 1) as u8;
-                slot
+            .map(|_| {
+                let this = slot;
+                slot = next_slot(slot, sep);
+                this
             })
             .collect();
         CodeText { slots, sep }
     }
 
-    /// Write `code` and the separator into `out` at `at`, which has
-    /// [`FIELD_ROOM`] bytes behind it, and return the text's length. A
-    /// rendered code is one 8-byte copy, which may write past its text.
-    #[inline]
-    fn put(&self, out: &mut [u8], at: usize, code: u32) -> usize {
+    /// Write `code` and the separator at `dst` and return the text's
+    /// length. A rendered code is one 8-byte store, which may write past
+    /// its text.
+    ///
+    /// # Safety
+    ///
+    /// `dst` must be valid for writes of [`FIELD_ROOM`] bytes.
+    #[inline(always)]
+    unsafe fn put(&self, dst: *mut u8, code: u32) -> usize {
         match self.slots.get(code as usize) {
-            Some(slot) => {
-                out[at..at + 8].copy_from_slice(slot);
-                usize::from(slot[7])
+            Some(&slot) => {
+                // SAFETY: the caller vouches for FIELD_ROOM ≥ 8 bytes.
+                unsafe { dst.cast::<[u8; 8]>().write_unaligned(slot.to_le_bytes()) };
+                (slot >> 56) as usize
             }
-            None => self.put_digits(out, at, code),
+            // SAFETY: the caller's room is the room `put_digits` asks.
+            None => unsafe { self.put_digits(dst, code) },
         }
     }
 
     /// [`CodeText::put`] for a code outside the rendered domain.
+    ///
+    /// # Safety
+    ///
+    /// As for [`CodeText::put`].
     #[cold]
-    fn put_digits(&self, out: &mut [u8], at: usize, code: u32) -> usize {
+    unsafe fn put_digits(&self, dst: *mut u8, code: u32) -> usize {
+        let mut text = [0u8; FIELD_ROOM];
         let n = digits(code);
-        put_digits(&mut out[at..at + n], code);
-        out[at + n] = self.sep;
+        put_digits(&mut text[..n], code);
+        text[n] = self.sep;
+        // SAFETY: the caller vouches for FIELD_ROOM bytes at `dst`.
+        unsafe { dst.cast::<[u8; FIELD_ROOM]>().write_unaligned(text) };
         n + 1
     }
 }
 
-const _: () = assert!(CodeText::MAX_RENDERED <= 1_000_000);
+/// The slot of the code after `slot`'s: one added to its decimal digits,
+/// as one add on the last digit unless that digit is a 9.
+#[inline]
+fn next_slot(slot: u64, sep: u8) -> u64 {
+    let digits = (slot >> 56) as usize - 1;
+    let last = 8 * (digits - 1);
+    if (slot >> last) as u8 != b'9' {
+        return slot + (1 << last);
+    }
+    // A carry: the trailing nines turn to zeros, and when every digit
+    // was a nine the code gains a digit, moving the separator on.
+    let mut text = slot.to_le_bytes();
+    for digit in text[..digits].iter_mut().rev() {
+        if *digit < b'9' {
+            *digit += 1;
+            return u64::from_le_bytes(text);
+        }
+        *digit = b'0';
+    }
+    text[0] = b'1';
+    text[digits] = b'0';
+    text[digits + 1] = sep;
+    text[7] += 1;
+    u64::from_le_bytes(text)
+}
+
+const _: () = assert!(CodeText::MAX_RENDERED < 1_000_000);
 const _: () = assert!(FIELD_ROOM == u32::MAX.ilog10() as usize + 2);
 
 /// What [`scan_row`] found at the start of its input.
@@ -559,12 +638,20 @@ mod tests {
             (65_536, b'|'),
             (65_537, b','),
         ] {
-            let text = CodeText::new(domain, sep);
+            let text = [CodeText::new(domain, sep)];
             let mut w = Writer::with_capacity(0);
             let mut oracle = String::new();
-            // Codes inside the domain and, written digit by digit, past it.
-            for v in (0..domain.min(200)).chain([domain - 1, domain, 99_999, u32::MAX]) {
-                w.code(&text, v);
+            // Codes inside the domain, across every carry of the decimal
+            // increment that builds the slots, and, written digit by
+            // digit, past it.
+            let codes: Vec<u32> = (0..domain.min(200))
+                .chain((1..6).flat_map(|d| [10u32.pow(d) - 1, 10u32.pow(d)]))
+                .chain([65_535, 65_536])
+                .filter(|&v| v < domain)
+                .chain([domain - 1, domain, 99_999, u32::MAX])
+                .collect();
+            w.rows(&text, 0..codes.len(), |r, _| codes[r]);
+            for v in &codes {
                 oracle.push_str(&format!("{v}{}", sep as char));
             }
             assert_eq!(w.into_string(), oracle, "domain {domain}");
@@ -573,36 +660,54 @@ mod tests {
 
     #[test]
     fn rows_write_what_the_digit_writer_writes() {
-        // A rendered column whose codes run past its domain, a column too
-        // wide to render, and a one-code column that ends the line.
-        let texts = [
-            CodeText::new(101, b','),
-            CodeText::new(CodeText::MAX_RENDERED + 1, b'|'),
-            CodeText::new(1, b'\n'),
-        ];
+        // Columns of three kinds in turn: a rendered column whose codes run
+        // past its domain, a column too wide to render, and a one-code
+        // column. Widths 1 to 8 have a kernel of their own each, wider rows
+        // share one.
+        let text = |k: usize, sep: u8| match k % 3 {
+            0 => CodeText::new(101, sep),
+            1 => CodeText::new(CodeText::MAX_RENDERED + 1, sep),
+            _ => CodeText::new(1, sep),
+        };
         let field = |r: usize, k: usize| -> u32 {
-            let r = r as u32;
-            match k {
+            let r = (r + k) as u32;
+            match k % 3 {
                 0 => r * 37 % 130,
                 1 => r.wrapping_mul(2_654_435_761),
                 _ if r.is_multiple_of(9) => u32::MAX,
                 _ => 0,
             }
         };
-        let oracle: String = (0..500)
-            .map(|r| format!("{},{}|{}\n", field(r, 0), field(r, 1), field(r, 2)))
-            .collect();
-        // Too little room for one row, for some rows, for exactly the
-        // text, and for every row's worst case.
-        for capacity in [0, 7, 100, oracle.len(), 500 * 3 * FIELD_ROOM] {
-            let mut w = Writer::with_capacity(capacity);
-            let room = w.bytes.len();
-            w.rows(&texts, 0..200, field);
-            w.rows(&texts, 200..200, field);
-            w.rows(&texts, 200..500, field);
-            assert_eq!(w.as_bytes(), oracle.as_bytes(), "capacity {capacity}");
-            if capacity >= oracle.len() {
-                assert_eq!(w.bytes.len(), room, "capacity {capacity}: grew");
+        for width in 1..=11 {
+            let texts: Vec<CodeText> = (0..width)
+                .map(|k| text(k, if k + 1 == width { b'\n' } else { b',' }))
+                .collect();
+            let oracle: String = (0..500)
+                .map(|r| {
+                    let fields: Vec<String> = (0..width).map(|k| field(r, k).to_string()).collect();
+                    fields.join(",") + "\n"
+                })
+                .collect();
+            // Too little room for one row, for some rows, for exactly the
+            // text, and for every row's worst case.
+            for capacity in [0, 7, 100, oracle.len(), 500 * width * FIELD_ROOM] {
+                let mut w = Writer::with_capacity(capacity);
+                let room = w.bytes.capacity();
+                w.rows(&texts, 0..200, field);
+                w.rows(&texts, 200..200, field);
+                w.rows(&texts, 200..500, field);
+                assert_eq!(
+                    w.as_bytes(),
+                    oracle.as_bytes(),
+                    "width {width} capacity {capacity}"
+                );
+                if capacity >= oracle.len() {
+                    assert_eq!(
+                        w.bytes.capacity(),
+                        room,
+                        "width {width} capacity {capacity}: grew"
+                    );
+                }
             }
         }
         // No texts, no text.

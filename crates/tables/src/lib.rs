@@ -32,6 +32,8 @@
 //! keeps tables compact (a 500k × 8 table is 16 MB) and makes interval and
 //! taxonomy reasoning in the generalization baseline trivial.
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 pub mod attribute;
 pub mod codec;
 pub mod csv;

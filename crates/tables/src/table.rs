@@ -270,44 +270,78 @@ impl TableBuilder {
         }
     }
 
-    /// Append every row of `words`, which holds rows back to back,
-    /// `stride` words apart. A row's codes are its first `width` words;
-    /// any words after them (a group id, say) are skipped. Each column
-    /// takes its codes in one strided pass and is validated with one
-    /// maximum over what it took, so a block of rows costs a pass per
-    /// column instead of a call per row. An out-of-domain code fails with
-    /// the error [`TableBuilder::push_row`] gives for the first row
-    /// holding one, and nothing of `words` is appended.
+    /// Append every row of `words`, which holds rows of `width +
+    /// extra.len()` words back to back: a row's codes, then one word for
+    /// each of the `extra` columns (a group id, say), which takes it
+    /// unchecked. The rows are transposed in one pass over `words` (a pass
+    /// per eight columns of wider rows), and each column is
+    /// validated with the maximum of what it took, so a block of rows
+    /// costs no call per row. An out-of-domain code fails with the error
+    /// [`TableBuilder::push_row`] gives for the first row holding one, and
+    /// nothing of `words` is appended to the table or to `extra`.
     ///
-    /// Panics when `stride` is zero or below the schema width, or when
-    /// `words` does not hold a whole number of rows.
-    pub fn push_rows(&mut self, words: &[u32], stride: usize) -> Result<(), TablesError> {
+    /// Panics when the rows have no words, or when `words` does not hold
+    /// a whole number of rows.
+    pub fn push_rows(&mut self, words: &[u32], extra: &mut [Vec<u32>]) -> Result<(), TablesError> {
         let width = self.schema.width();
+        let stride = width + extra.len();
         assert!(
-            stride > 0 && stride >= width && words.len().is_multiple_of(stride),
-            "push_rows needs whole rows of at least {width} words: stride {stride}, {} words",
+            stride > 0 && words.len().is_multiple_of(stride),
+            "push_rows needs whole rows of {stride} words, got {} words",
             words.len()
         );
-        if words.is_empty() {
+        let rows = words.len() / stride;
+        if rows == 0 {
             return Ok(());
         }
         let mut in_domain = true;
-        for (c, (col, &domain)) in self.columns.iter_mut().zip(&self.domains).enumerate() {
-            col.extend(words[c..].iter().step_by(stride));
-            // The maximum of the codes just taken: a fold over contiguous
-            // codes vectorizes where a strided one does not.
-            in_domain &= col[self.len..].iter().fold(0, |m, &x| m.max(x)) < domain;
+        for first in (0..stride).step_by(PASS_COLUMNS) {
+            let columns = (stride - first).min(PASS_COLUMNS);
+            let mut outs = [std::ptr::null_mut::<u32>(); PASS_COLUMNS];
+            for (j, out) in outs[..columns].iter_mut().enumerate() {
+                let k = first + j;
+                let column = match self.columns.get_mut(k) {
+                    Some(column) => column,
+                    None => &mut extra[k - width],
+                };
+                column.reserve(rows);
+                *out = column.spare_capacity_mut().as_mut_ptr().cast();
+            }
+            let chunks = words.chunks_exact(stride);
+            let mut max = [0u32; PASS_COLUMNS];
+            // SAFETY: every pointer in `outs[..columns]` is the spare
+            // capacity of a distinct column that `reserve` made room for
+            // `rows` more words in, and the loop above left the columns
+            // as they were once it took their pointers.
+            unsafe {
+                match columns {
+                    1 => scatter::<1>(chunks, first, &outs, &mut max),
+                    2 => scatter::<2>(chunks, first, &outs, &mut max),
+                    3 => scatter::<3>(chunks, first, &outs, &mut max),
+                    4 => scatter::<4>(chunks, first, &outs, &mut max),
+                    5 => scatter::<5>(chunks, first, &outs, &mut max),
+                    6 => scatter::<6>(chunks, first, &outs, &mut max),
+                    7 => scatter::<7>(chunks, first, &outs, &mut max),
+                    _ => scatter::<8>(chunks, first, &outs, &mut max),
+                }
+            }
+            in_domain &= self.domains[first.min(width)..(first + columns).min(width)]
+                .iter()
+                .zip(&max)
+                .all(|(&domain, &max)| max < domain);
         }
         if !in_domain {
-            for col in &mut self.columns {
-                col.truncate(self.len);
-            }
             let first = words
                 .chunks_exact(stride)
                 .find_map(|row| self.check_domains(&row[..width]).err());
             return Err(first.expect("a column's maximum lies outside its domain"));
         }
-        self.len += words.len() / stride;
+        for column in self.columns.iter_mut().chain(extra.iter_mut()) {
+            // SAFETY: the passes above wrote `rows` words into the spare
+            // capacity of every column and every `extra` column.
+            unsafe { column.set_len(column.len() + rows) };
+        }
+        self.len += rows;
         Ok(())
     }
 
@@ -331,6 +365,38 @@ impl TableBuilder {
             len: self.len,
         }
     }
+}
+
+/// Columns [`TableBuilder::push_rows`] fills per pass over its rows.
+const PASS_COLUMNS: usize = 8;
+
+/// One pass of [`TableBuilder::push_rows`]: write field `first + j` of
+/// the `i`-th of `rows` at `outs[j] + i`, and the field's maximum at
+/// `max[j]`, for each `j` below `W`.
+///
+/// # Safety
+///
+/// `outs[..W]` must be valid for writes of as many words as there are
+/// rows, and must not overlap one another or the rows.
+#[inline(always)]
+unsafe fn scatter<const W: usize>(
+    rows: std::slice::ChunksExact<'_, u32>,
+    first: usize,
+    outs: &[*mut u32; PASS_COLUMNS],
+    max: &mut [u32; PASS_COLUMNS],
+) {
+    let outs: [*mut u32; W] = std::array::from_fn(|j| outs[j]);
+    let mut top = [0u32; W];
+    for (i, row) in rows.enumerate() {
+        let fields = &row[first..first + W];
+        for j in 0..W {
+            top[j] = top[j].max(fields[j]);
+            // SAFETY: `i` is below the row count, the words the caller
+            // vouches `outs[j]` holds.
+            unsafe { outs[j].add(i).write(fields[j]) };
+        }
+    }
+    max[..W].copy_from_slice(&top);
 }
 
 #[cfg(test)]
@@ -385,10 +451,12 @@ mod tests {
         // Rows of three codes plus a trailing word that is skipped.
         let words = [23, 0, 11, 7, 27, 0, 13, 8, 35, 1, 59, 9];
         let mut b = TableBuilder::new(schema3());
-        b.push_rows(&words[..4], 4).unwrap();
-        b.push_rows(&[], 4).unwrap();
-        b.push_rows(&words[4..], 4).unwrap();
+        let mut extra = [vec![6]];
+        b.push_rows(&words[..4], &mut extra).unwrap();
+        b.push_rows(&[], &mut extra).unwrap();
+        b.push_rows(&words[4..], &mut extra).unwrap();
         assert_eq!(b.finish(), sample());
+        assert_eq!(extra, [vec![6, 7, 8, 9]]);
 
         // Row 1 has Zip 60 and row 2 Gender 2: the error is the one
         // `push_row` gives at row 1, and nothing is appended.
@@ -399,7 +467,7 @@ mod tests {
             .find_map(|row| one_by_one.push_row(row).err())
             .unwrap();
         let mut b = TableBuilder::new(schema3());
-        let err = b.push_rows(&bad, 3).unwrap_err();
+        let err = b.push_rows(&bad, &mut []).unwrap_err();
         assert_eq!(err, expected);
         assert!(
             matches!(&err, TablesError::ValueOutOfDomain { attribute, code: 60, .. } if attribute == "Zip"),
@@ -409,9 +477,49 @@ mod tests {
     }
 
     #[test]
+    fn push_rows_transposes_rows_wider_than_a_pass() {
+        // Eleven columns and two extra ones: two passes over the rows.
+        let schema = Schema::new(
+            (0..11)
+                .map(|c| Attribute::numerical(format!("A{c}"), 50 + c))
+                .collect(),
+        )
+        .unwrap();
+        let rows: Vec<Vec<u32>> = (0..40u32)
+            .map(|r| (0..13).map(|c| (r * 7 + c * 3) % 50).collect())
+            .collect();
+        let mut one_by_one = TableBuilder::new(schema.clone());
+        for row in &rows {
+            one_by_one.push_row(&row[..11]).unwrap();
+        }
+        let words: Vec<u32> = rows.concat();
+        let mut b = TableBuilder::new(schema.clone());
+        let mut extra = [vec![], vec![]];
+        b.push_rows(&words[..13 * 15], &mut extra).unwrap();
+        b.push_rows(&words[13 * 15..], &mut extra).unwrap();
+        assert_eq!(b.finish(), one_by_one.finish());
+        for (e, column) in extra.iter().enumerate() {
+            let expected: Vec<u32> = rows.iter().map(|row| row[11 + e]).collect();
+            assert_eq!(column, &expected);
+        }
+        // A code out of its domain in the second pass's columns (A10's
+        // domain is 60) fails as `push_row` fails, and appends nothing.
+        let mut bad = words.clone();
+        bad[13 * 3 + 10] = 60;
+        let expected = bad
+            .chunks_exact(13)
+            .find_map(|row| TableBuilder::new(schema.clone()).push_row(&row[..11]).err())
+            .unwrap();
+        let mut b = TableBuilder::new(schema);
+        let mut extra = [vec![], vec![]];
+        assert_eq!(b.push_rows(&bad, &mut extra), Err(expected));
+        assert!(b.is_empty() && extra.iter().all(Vec::is_empty));
+    }
+
+    #[test]
     #[should_panic(expected = "whole rows")]
     fn push_rows_of_a_partial_row_panics() {
-        let _ = TableBuilder::new(schema3()).push_rows(&[1, 0, 2, 3], 3);
+        let _ = TableBuilder::new(schema3()).push_rows(&[1, 0, 2, 3], &mut []);
     }
 
     #[test]

@@ -21,6 +21,8 @@
 //! These trade-offs keep the implementation small while preserving what the
 //! test-suite relies on: many diverse deterministic cases per property.
 
+#![forbid(unsafe_code)]
+
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::fmt;

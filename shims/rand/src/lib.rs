@@ -16,6 +16,8 @@
 //! than adequate for workload generation and randomized tie-breaking (it
 //! passes BigCrush); nothing here is used for cryptography.
 
+#![forbid(unsafe_code)]
+
 pub mod rngs;
 pub mod seq;
 

@@ -49,6 +49,8 @@
 //! `anatomy` binary (crate `anatomy-cli`) publishes, verifies, queries
 //! and serves releases from the command line.
 
+#![forbid(unsafe_code)]
+
 pub use anatomy_audit as audit;
 pub use anatomy_core as core;
 pub use anatomy_data as data;
