@@ -86,12 +86,11 @@ pub fn tables_from_files(
 
     let rows = qit.record_count();
     let mut builder = anatomy_tables::TableBuilder::with_capacity(qi_schema, rows);
-    let mut group_ids = [Vec::with_capacity(rows)];
+    let mut group_ids = Vec::with_capacity(rows);
     let mut reader = SeqReader::open(qit, U32RowCodec::new(d + 1), &pool, scratch.clone())?;
     while let Some(page) = reader.next_page()? {
-        builder.push_rows(page, &mut group_ids)?;
+        builder.push_rows(page, Some(&mut group_ids))?;
     }
-    let [group_ids] = group_ids;
 
     let mut st = Vec::with_capacity(st_file.record_count());
     let mut reader = SeqReader::open(st_file, U32RowCodec::new(3), &pool, scratch)?;

@@ -241,66 +241,64 @@ impl AnatomizedTables {
             )));
         }
 
-        // The ST in one pass. Its checks rank: order (sorted by group
-        // then value, no duplicates), then each group's counts (no zero,
-        // summing to the group's size) in group order, then records past
-        // the QIT's groups, then Definition 2 in group order. Only an order
-        // error ends the pass early; the first error of the highest rank is
-        // reported, as when each check ran over the whole ST in turn.
-        let mut groups = GroupChecks {
-            sizes: &group_sizes,
-            l,
-            offsets: Vec::with_capacity(m + 1),
-            counts: None,
-            diversity: None,
-        };
-        groups.offsets.push(0);
-        // The group of the records being summed, and their sums.
-        let (mut group, mut sums) = (0, Sums::default());
-        let mut beyond = None;
-        let mut last = None;
-        for (i, r) in st.iter().enumerate() {
-            // (group, value) as one number, so the order check is one compare.
-            let key = (u64::from(r.group) << 32) | u64::from(r.value.code());
-            if last.is_some_and(|last| key <= last) {
+        // ST structure: sorted, deduplicated, group ids in range.
+        for w in st.windows(2) {
+            if (w[0].group, w[0].value) >= (w[1].group, w[1].value) {
                 return Err(CoreError::InvalidPartition(format!(
                     "ST records out of order or duplicated at group {} value {}",
-                    r.group, r.value
+                    w[1].group, w[1].value
                 )));
             }
-            last = Some(key);
-            if r.group != group {
-                if r.group as usize >= m {
-                    beyond.get_or_insert(r.group);
-                    continue;
+        }
+        let mut st_offsets = Vec::with_capacity(m + 1);
+        st_offsets.push(0usize);
+        let mut cursor = 0usize;
+        for j in 0..m as GroupId {
+            let mut mass = 0u64;
+            while cursor < st.len() && st[cursor].group == j {
+                if st[cursor].count == 0 {
+                    return Err(CoreError::InvalidPartition(format!(
+                        "ST record with zero count in group {j}"
+                    )));
                 }
-                groups.close_below(r.group as usize, i, std::mem::take(&mut sums));
-                group = r.group;
+                mass += st[cursor].count as u64;
+                cursor += 1;
             }
-            sums.zero |= r.count == 0;
-            sums.mass += u64::from(r.count);
-            sums.max = sums.max.max(r.count);
+            if mass != group_sizes[j as usize] as u64 {
+                return Err(CoreError::InvalidPartition(format!(
+                    "group {j}: ST counts sum to {mass} but QIT has {} tuples",
+                    group_sizes[j as usize]
+                )));
+            }
+            st_offsets.push(cursor);
         }
-        groups.close_below(m, st.len(), sums);
-        if let Some(e) = groups.counts {
-            return Err(e);
-        }
-        if let Some(g) = beyond {
+        if cursor != st.len() {
             return Err(CoreError::InvalidPartition(format!(
-                "ST references group {g} beyond the QIT's {m} groups"
+                "ST references group {} beyond the QIT's {m} groups",
+                st[cursor].group
             )));
         }
-        if let Some(e) = groups.diversity {
-            return Err(e);
-        }
-        Ok(AnatomizedTables {
+
+        let tables = AnatomizedTables {
             qit,
             group_ids,
-            st_offsets: groups.offsets,
             group_sizes,
             st,
+            st_offsets,
             l,
-        })
+        };
+        // Definition 2, from the ST alone.
+        for j in 0..m as GroupId {
+            let size = tables.group_size(j) as usize;
+            if let Some(max) = tables.st_of(j).iter().map(|r| r.count as usize).max() {
+                if max * l > size {
+                    return Err(CoreError::InvalidPartition(format!(
+                        "group {j} is not {l}-diverse: a value occurs {max} times in {size} tuples"
+                    )));
+                }
+            }
+        }
+        Ok(tables)
     }
 
     /// The diversity parameter the tables were published under.
@@ -471,61 +469,6 @@ impl AnatomizedTables {
             let _ = writeln!(out, "{}\t{}\t{}", r.group + 1, label(r.value), r.count);
         }
         out
-    }
-}
-
-/// The per-group half of [`AnatomizedTables::from_parts`]'s ST pass:
-/// the group being summed is the one after the last closed, and each
-/// check keeps the error of the first group that fails it.
-struct GroupChecks<'a> {
-    sizes: &'a [u32],
-    l: usize,
-    /// Where each closed group's records start, and then end.
-    offsets: Vec<usize>,
-    /// A zero count or a mass that is not the group's size.
-    counts: Option<CoreError>,
-    /// A value held by more than 1/l of the group (Definition 2).
-    diversity: Option<CoreError>,
-}
-
-/// What [`GroupChecks`] needs of one group's ST records.
-#[derive(Default)]
-struct Sums {
-    mass: u64,
-    max: u32,
-    zero: bool,
-}
-
-impl GroupChecks<'_> {
-    /// Close every group below `next` (and below the group count): the
-    /// one being summed, whose records end at `end` and sum to `sums`,
-    /// and any after it, which have no records.
-    fn close_below(&mut self, next: usize, end: usize, mut sums: Sums) {
-        let next = next.min(self.sizes.len());
-        while self.offsets.len() <= next {
-            let j = self.offsets.len() - 1;
-            let size = self.sizes[j];
-            if self.counts.is_none() {
-                if sums.zero {
-                    self.counts = Some(CoreError::InvalidPartition(format!(
-                        "ST record with zero count in group {j}"
-                    )));
-                } else if sums.mass != u64::from(size) {
-                    self.counts = Some(CoreError::InvalidPartition(format!(
-                        "group {j}: ST counts sum to {} but QIT has {size} tuples",
-                        sums.mass
-                    )));
-                }
-            }
-            let (max, size, l) = (sums.max as usize, size as usize, self.l);
-            if self.diversity.is_none() && max * l > size {
-                self.diversity = Some(CoreError::InvalidPartition(format!(
-                    "group {j} is not {l}-diverse: a value occurs {max} times in {size} tuples"
-                )));
-            }
-            self.offsets.push(end);
-            sums = Sums::default();
-        }
     }
 }
 
@@ -914,6 +857,19 @@ mod tests {
                 }
                 other => panic!("{case}: {other:?}"),
             }
+        }
+        // An ST record with an empty QIT lies past its zero groups.
+        let empty = TableBuilder::new(qit.schema().clone()).finish();
+        let st = vec![StRecord {
+            group: 0,
+            value: Value(0),
+            count: 1,
+        }];
+        match AnatomizedTables::from_parts(empty, Vec::new(), st, 2) {
+            Err(CoreError::InvalidPartition(message)) => {
+                assert_eq!(message, "ST references group 0 beyond the QIT's 0 groups")
+            }
+            other => panic!("empty QIT: {other:?}"),
         }
     }
 
